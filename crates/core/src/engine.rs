@@ -4,7 +4,7 @@ use crate::bytecode::{compile_plan, ProgKind, Program};
 use crate::compile::{compile_path_indexed, CompileError};
 use crate::eval::{EvalMemo, EvalScratch, EvalStats, Evaluator};
 use crate::plan::{Plan, PlanKind};
-use crate::planner::{CostModel, Feedback};
+use crate::planner::Feedback;
 use crate::{exec, planner, vm, Asta};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -221,7 +221,7 @@ struct QueryCache {
 /// A cached compiled program plus its execution feedback: cumulative
 /// actual visits and run count, compared against the program's estimate to
 /// decide whether the planner should take another look (see
-/// [`Engine::set_replan_factor`]).
+/// [`DEFAULT_REPLAN_FACTOR`]).
 #[derive(Debug)]
 pub struct ProgramCell {
     /// The compiled, validated program.
@@ -318,8 +318,8 @@ pub struct QueryOutput {
     pub replanned: bool,
 }
 
-/// The default re-plan trigger: re-plan when a program's observed visits
-/// exceed its estimate by more than this factor.
+/// The re-plan trigger: an `Auto` program is re-planned when its observed
+/// visits exceed its estimate by more than this factor.
 pub const DEFAULT_REPLAN_FACTOR: f64 = 4.0;
 
 /// Programs observing fewer visits than this never trigger a re-plan —
@@ -329,8 +329,6 @@ const REPLAN_MIN_VISITS: f64 = 16.0;
 /// The XPath engine over one indexed document.
 pub struct Engine {
     ix: TreeIndex,
-    model: CostModel,
-    replan_factor: f64,
     planned: AtomicU64,
     installed: AtomicU64,
     replans: AtomicU64,
@@ -340,8 +338,6 @@ impl Engine {
     fn with_index(ix: TreeIndex) -> Self {
         Self {
             ix,
-            model: CostModel::default(),
-            replan_factor: DEFAULT_REPLAN_FACTOR,
             planned: AtomicU64::new(0),
             installed: AtomicU64::new(0),
             replans: AtomicU64::new(0),
@@ -366,25 +362,6 @@ impl Engine {
     /// The underlying index.
     pub fn index(&self) -> &TreeIndex {
         &self.ix
-    }
-
-    /// The planner's cost constants (defaults, unless calibrated ones were
-    /// set).
-    pub fn cost_model(&self) -> CostModel {
-        self.model
-    }
-
-    /// Replaces the planner's cost constants (e.g. with calibrated values
-    /// from `xwq bench --calibrate`). Affects plans derived afterwards;
-    /// already-cached plans and programs are kept.
-    pub fn set_cost_model(&mut self, model: CostModel) {
-        self.model = model;
-    }
-
-    /// Sets the actual-vs-estimated visit factor beyond which an `Auto`
-    /// program is re-planned (default [`DEFAULT_REPLAN_FACTOR`]).
-    pub fn set_replan_factor(&mut self, factor: f64) {
-        self.replan_factor = factor.max(1.0);
     }
 
     /// Plan-provenance counters: how many programs this engine planned
@@ -422,19 +399,9 @@ impl Engine {
             }
             // Compiled against one document, run against another: plan
             // fresh without caching (the slot stays owned by the first).
-            return Arc::new(planner::plan_strategy_with(
-                strategy,
-                &q.path,
-                &self.ix,
-                &self.model,
-            ));
+            return Arc::new(planner::plan_strategy(strategy, &q.path, &self.ix));
         }
-        let plan = Arc::new(planner::plan_strategy_with(
-            strategy,
-            &q.path,
-            &self.ix,
-            &self.model,
-        ));
+        let plan = Arc::new(planner::plan_strategy(strategy, &q.path, &self.ix));
         let _ = slot.set((identity, Arc::clone(&plan)));
         plan
     }
@@ -531,17 +498,13 @@ impl Engine {
         if strategy == Strategy::Auto && runs > 0 {
             let avg = total_visits as f64 / runs as f64;
             let factor = avg / cell.program.est.visits.max(1.0);
-            if avg >= REPLAN_MIN_VISITS && factor > self.replan_factor {
+            if avg >= REPLAN_MIN_VISITS && factor > DEFAULT_REPLAN_FACTOR {
                 let prev_pivot = match &cell.program.kind {
                     ProgKind::Spine(sp) => Some(sp.pivot as usize),
                     _ => None,
                 };
-                let plan = planner::plan_auto_with(
-                    &q.path,
-                    &self.ix,
-                    &self.model,
-                    Some(Feedback { prev_pivot, factor }),
-                );
+                let plan =
+                    planner::plan_auto(&q.path, &self.ix, Some(Feedback { prev_pivot, factor }));
                 cell = ProgramCell::new(compile_plan(&plan));
                 cell.replan_attempted.store(true, Ordering::Relaxed);
                 replanned = true;
@@ -694,7 +657,7 @@ impl Engine {
     }
 
     /// Re-plans an `Auto` program whose observed visits exceeded its
-    /// estimate by more than the configured factor. At most one re-plan
+    /// estimate by more than [`DEFAULT_REPLAN_FACTOR`]. At most one re-plan
     /// per cached program (the replacement never re-plans itself), so a
     /// query settles after a single correction instead of oscillating.
     fn maybe_replan(&self, q: &CompiledQuery, cell: &Arc<ProgramCell>, out: &QueryOutput) -> bool {
@@ -703,7 +666,7 @@ impl Engine {
             return false;
         }
         let factor = actual / cell.program.est.visits.max(1.0);
-        if factor <= self.replan_factor {
+        if factor <= DEFAULT_REPLAN_FACTOR {
             return false;
         }
         if cell.replan_attempted.swap(true, Ordering::Relaxed) {
@@ -713,12 +676,7 @@ impl Engine {
             ProgKind::Spine(sp) => Some(sp.pivot as usize),
             _ => None,
         };
-        let plan = planner::plan_auto_with(
-            &q.path,
-            &self.ix,
-            &self.model,
-            Some(Feedback { prev_pivot, factor }),
-        );
+        let plan = planner::plan_auto(&q.path, &self.ix, Some(Feedback { prev_pivot, factor }));
         let replacement = ProgramCell::new(compile_plan(&plan));
         replacement.replan_attempted.store(true, Ordering::Relaxed);
         let identity = self.ix.identity();

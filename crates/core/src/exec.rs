@@ -5,7 +5,7 @@
 //! filter it, then each downstream step transforms the whole list by its
 //! planned method (child scan, range scan / Intersect merge, or subtree
 //! scan). Compared to the old candidate-at-a-time hybrid walker this fixes
-//! the two over-visit sources `BENCH_eval.json` exposed:
+//! its two over-visit sources:
 //!
 //! * upward-context checks and walked predicates are memoized per
 //!   `(step|predicate, node)`, so candidates sharing ancestors never

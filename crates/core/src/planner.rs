@@ -11,11 +11,10 @@
 //! rarest-label pivot rule.
 //!
 //! The cost model is deliberately small and documented: unit 1.0 is one
-//! spine node visit (~40 ns measured); an automaton visit is weighted
-//! [`AUTOMATON_VISIT`]× (measured ~350 ns per visit on the XMark suite —
-//! see `BENCH_eval.json`, opt vs hybrid `visited_nodes_per_sec`). The
-//! estimates do not need to be exact; they need to rank pivots sensibly
-//! and to keep the automaton in play for shapes traversal handles badly.
+//! spine node visit; an automaton visit is weighted [`AUTOMATON_VISIT`]×
+//! and an automaton run pays [`AUTOMATON_SETUP`] once. The estimates do
+//! not need to be exact; they need to rank pivots sensibly and to keep the
+//! automaton in play for shapes traversal handles badly.
 
 use crate::engine::Strategy;
 use crate::eval::EvalOptions;
@@ -31,29 +30,7 @@ use xwq_xpath::{Axis, NodeTest, Path, Pred};
 pub const AUTOMATON_VISIT: f64 = 8.0;
 
 /// Fixed overhead charged to an automaton run (setup of the tda tables).
-const AUTOMATON_SETUP: f64 = 32.0;
-
-/// The planner's tunable cost constants. The defaults are the compiled-in
-/// estimates; `xwq bench --calibrate` measures them per deployment (ratio
-/// of automaton to spine per-visit cost on this machine/document mix) and
-/// persists the result next to the compiled programs, so warm restarts
-/// plan with measured constants.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CostModel {
-    /// Cost of one automaton node visit, in spine-visit units.
-    pub automaton_visit: f64,
-    /// Fixed overhead charged to an automaton run.
-    pub automaton_setup: f64,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        Self {
-            automaton_visit: AUTOMATON_VISIT,
-            automaton_setup: AUTOMATON_SETUP,
-        }
-    }
-}
+pub const AUTOMATON_SETUP: f64 = 32.0;
 
 /// Observed-visits feedback from a previous execution of the same query,
 /// used to re-plan when the estimate was off: the previously chosen
@@ -79,52 +56,28 @@ fn probe_cost(list_len: usize) -> f64 {
 /// fixed templates; `Hybrid` is the spine template with the legacy pivot
 /// rule; `Auto` is the cost-based choice.
 pub fn plan_strategy(strategy: Strategy, path: &Path, ix: &TreeIndex) -> Plan {
-    plan_strategy_with(strategy, path, ix, &CostModel::default())
-}
-
-/// [`plan_strategy`] with explicit (e.g. calibrated) cost constants.
-pub fn plan_strategy_with(
-    strategy: Strategy,
-    path: &Path,
-    ix: &TreeIndex,
-    model: &CostModel,
-) -> Plan {
     let sigma = ix.alphabet().len();
     match strategy {
-        Strategy::Naive => automaton(EvalOptions::naive(), ix, model, "strategy template: naive"),
-        Strategy::Pruning => automaton(
-            EvalOptions::pruning(),
-            ix,
-            model,
-            "strategy template: pruning",
-        ),
+        Strategy::Naive => automaton(EvalOptions::naive(), ix, "strategy template: naive"),
+        Strategy::Pruning => automaton(EvalOptions::pruning(), ix, "strategy template: pruning"),
         Strategy::Jumping => automaton(
             EvalOptions::jumping(sigma),
             ix,
-            model,
             "strategy template: jumping",
         ),
-        Strategy::Memoized => automaton(
-            EvalOptions::memoized(),
-            ix,
-            model,
-            "strategy template: memo",
-        ),
-        Strategy::Optimized => automaton(
-            EvalOptions::optimized(sigma),
-            ix,
-            model,
-            "strategy template: opt",
-        ),
-        Strategy::Hybrid => plan_hybrid_with(path, ix, model),
-        Strategy::Auto => plan_auto_with(path, ix, model, None),
+        Strategy::Memoized => automaton(EvalOptions::memoized(), ix, "strategy template: memo"),
+        Strategy::Optimized => {
+            automaton(EvalOptions::optimized(sigma), ix, "strategy template: opt")
+        }
+        Strategy::Hybrid => plan_hybrid(path, ix),
+        Strategy::Auto => plan_auto(path, ix, None),
     }
 }
 
-fn automaton(opts: EvalOptions, ix: &TreeIndex, model: &CostModel, reason: &str) -> Plan {
+fn automaton(opts: EvalOptions, ix: &TreeIndex, reason: &str) -> Plan {
     Plan {
         est: CostEstimate {
-            cost: ix.len() as f64 * model.automaton_visit,
+            cost: ix.len() as f64 * AUTOMATON_VISIT,
             visits: ix.len() as f64,
         },
         kind: PlanKind::Automaton(opts),
@@ -136,17 +89,12 @@ fn automaton(opts: EvalOptions, ix: &TreeIndex, model: &CostModel, reason: &str)
 /// rarest named spine label (§4.4), falling back to the optimized
 /// automaton when the shape is outside the spine fragment.
 pub fn plan_hybrid(path: &Path, ix: &TreeIndex) -> Plan {
-    plan_hybrid_with(path, ix, &CostModel::default())
-}
-
-/// [`plan_hybrid`] with explicit cost constants.
-pub fn plan_hybrid_with(path: &Path, ix: &TreeIndex, model: &CostModel) -> Plan {
     let stats = ix.stats();
     match normalize(path, ix) {
         Normalized::Empty => empty_plan("a spine label does not occur in the document"),
         Normalized::Outside(why) => Plan {
             reason: format!("outside the spine fragment ({why}); optimized automaton"),
-            ..automaton(EvalOptions::optimized(ix.alphabet().len()), ix, model, "")
+            ..automaton(EvalOptions::optimized(ix.alphabet().len()), ix, "")
         },
         Normalized::Spine(steps) => {
             let pivot = (0..steps.len())
@@ -158,7 +106,7 @@ pub fn plan_hybrid_with(path: &Path, ix: &TreeIndex, model: &CostModel) -> Plan 
             match pivot {
                 None => Plan {
                     reason: "no named spine step to pivot on; optimized automaton".to_string(),
-                    ..automaton(EvalOptions::optimized(ix.alphabet().len()), ix, model, "")
+                    ..automaton(EvalOptions::optimized(ix.alphabet().len()), ix, "")
                 },
                 Some(pivot) => {
                     let est = estimate_pipeline(&steps, pivot, ix, stats);
@@ -172,21 +120,11 @@ pub fn plan_hybrid_with(path: &Path, ix: &TreeIndex, model: &CostModel) -> Plan 
 }
 
 /// The cost-based plan: the cheapest pivot (if the spine fragment applies)
-/// against the estimated automaton run.
-pub fn plan_auto(path: &Path, ix: &TreeIndex) -> Plan {
-    plan_auto_with(path, ix, &CostModel::default(), None)
-}
-
-/// [`plan_auto`] with explicit cost constants and, optionally, observed
+/// against the estimated automaton run, optionally corrected by observed
 /// feedback from a previous execution (see [`Feedback`]).
-pub fn plan_auto_with(
-    path: &Path,
-    ix: &TreeIndex,
-    model: &CostModel,
-    feedback: Option<Feedback>,
-) -> Plan {
+pub fn plan_auto(path: &Path, ix: &TreeIndex, feedback: Option<Feedback>) -> Plan {
     let stats = ix.stats();
-    let mut auto_est = estimate_automaton(path, ix, stats, model);
+    let mut auto_est = estimate_automaton(path, ix, stats);
     if let Some(f) = feedback {
         if f.prev_pivot.is_none() {
             auto_est.cost *= f.factor;
@@ -433,12 +371,7 @@ fn pred_cost(p: &PredPlan, ctx_subtree: f64, ix: &TreeIndex) -> f64 {
 /// Estimates a full automaton run: jumping visits roughly the occurrences
 /// of the query's named labels; wildcard-only queries cannot jump and
 /// visit everything.
-fn estimate_automaton(
-    path: &Path,
-    ix: &TreeIndex,
-    stats: &IndexStats,
-    model: &CostModel,
-) -> CostEstimate {
+fn estimate_automaton(path: &Path, ix: &TreeIndex, stats: &IndexStats) -> CostEstimate {
     let n = stats.nodes as f64;
     let mut labels: Vec<u32> = Vec::new();
     collect_path_labels(path, ix, &mut labels);
@@ -454,7 +387,7 @@ fn estimate_automaton(
         (sum + 32.0).min(n)
     };
     CostEstimate {
-        cost: visits * model.automaton_visit + model.automaton_setup,
+        cost: visits * AUTOMATON_VISIT + AUTOMATON_SETUP,
         visits,
     }
 }

@@ -58,6 +58,29 @@ fn very_deep_documents_do_not_overflow() {
 }
 
 #[test]
+fn deepest_accepted_predicate_nesting_runs_on_a_default_stack() {
+    let nested = |depth: usize| format!("//a{}{}", "[b".repeat(depth), "]".repeat(depth));
+    let cap = xwq_xpath::MAX_PREDICATE_DEPTH;
+    // 2 MiB is the std default for spawned threads (and the serve workers').
+    std::thread::Builder::new()
+        .stack_size(2 * 1024 * 1024)
+        .spawn(move || {
+            let doc = deep_chain(cap - 1, "b");
+            let e = Engine::build(&doc);
+            let q = e.compile(&nested(cap)).unwrap();
+            for s in Strategy::ALL {
+                assert_eq!(e.run(&q, s).nodes, vec![0], "{}", s.name());
+            }
+            // A 30 KB query that used to abort the process with a stack
+            // overflow is a parse error.
+            assert!(e.compile(&nested(10_000)).is_err());
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
+#[test]
 fn very_wide_documents_do_not_overflow() {
     // 200k siblings alternating b/c: sibling chains are iterated, and the
     // b-frontier is continued inline, so no recursion depth accumulates.

@@ -207,7 +207,7 @@ fn auto_agrees_with_opt_on_the_full_fig2_suite() {
 /// The over-visit regression the planner was built to fix: on Q8 and Q9
 /// the legacy hybrid walker re-scanned predicate subtrees and ancestor
 /// chains per candidate (2500 / 2729 distinct visits vs opt's 913 / 808
-/// in `BENCH_eval.json`). The planned pipeline — predicate probes, the
+/// at XMark factor 0.1). The planned pipeline — predicate probes, the
 /// memoized upward match with its min-depth cutoff — must not pick a plan
 /// that visits more nodes than the optimized automaton run.
 #[test]
@@ -236,7 +236,7 @@ fn planner_q8_q9_not_worse_than_opt_visits() {
     }
 }
 
-/// BENCH_eval.json q7-style regression: the hybrid walker used to count
+/// Q7-style regression: the hybrid walker used to count
 /// raw node *examinations* (re-counting shared ancestors and re-scanned
 /// predicate children once per candidate), reporting more "visited" nodes
 /// than plain pruning on predicate queries. `visited` now means distinct

@@ -57,8 +57,8 @@ impl LabelStat {
 /// clones of the same index, so the zero-copy mmap open path never pays
 /// for them up front. The planner's cost model consumes the per-label
 /// counts, min/mean depths, fanouts and subtree extents; the histogram
-/// and max depths ride along for tooling and future calibration (they
-/// fall out of the same pass for free).
+/// and max depths ride along for tooling (they fall out of the same pass
+/// for free).
 #[derive(Clone, Debug, Default)]
 pub struct IndexStats {
     /// Number of nodes.

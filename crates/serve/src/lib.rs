@@ -21,8 +21,7 @@
 //! finish everything accepted, join.
 //!
 //! [`loadgen`] is the matching open-loop, closed-socket load generator
-//! (`xwq loadgen`), whose p50/p99/error-rate rows feed the `serve`
-//! section of `BENCH_eval.json`.
+//! (`xwq loadgen`), which reports p50/p99 latency and the error rate.
 
 pub mod http;
 pub mod json;

@@ -257,6 +257,23 @@ fn malformed_requests_get_4xx_and_server_survives() {
     server.shutdown();
 }
 
+/// A 30 KB query nesting 10 000 predicates fits the default body cap; it
+/// must be refused as a bad query, not overflow a worker's stack and take
+/// the process down.
+#[test]
+fn deeply_nested_query_gets_400_and_server_survives() {
+    let server = start_server(AdmissionConfig::default(), ServeConfig::default());
+    let query = format!("//a{}{}", "[b".repeat(10_000), "]".repeat(10_000));
+    let resp = post_query(&server, &format!(r#"{{"query":"{query}"}}"#));
+    assert_eq!(status_of(&resp), 400, "{}", body_of(&resp));
+    let health = raw_round_trip(
+        &server,
+        b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+    );
+    assert_eq!(status_of(&health), 200);
+    server.shutdown();
+}
+
 /// Reads one chunked response incrementally off `r`, returning each
 /// chunk's payload as it arrives through `on_chunk`.
 fn read_chunked(r: &mut BufReader<TcpStream>, mut on_chunk: impl FnMut(String)) {

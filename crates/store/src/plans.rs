@@ -3,8 +3,7 @@
 //!
 //! A `.xwqp` file sits next to its `.xwqi` index and carries the bytecode
 //! programs ([`xwq_core::Program`]) the serving layer compiled for that
-//! index, plus the (possibly calibrated) planner cost constants they were
-//! derived under:
+//! index, with each program's execution history:
 //!
 //! ```text
 //! ┌────────────────────────── header (32 bytes) ──────────────────────────┐
@@ -12,9 +11,9 @@
 //! │ payload_len u64 │ checksum u64 (over the payload bytes)               │
 //! ├────────────────────────────── payload ────────────────────────────────┤
 //! │ index_checksum u64 (the .xwqi header checksum this sidecar binds to)  │
-//! │ automaton_visit f64 │ automaton_setup f64 │ calibrated u8             │
 //! │ entry count u32                                                       │
 //! │ per entry: query string │ strategy token │ encoded Program blob       │
+//! │            runs u64 │ total_visits u64                                │
 //! └───────────────────────────────────────────────────────────────────────┘
 //! ```
 //!
@@ -39,16 +38,15 @@ use crate::wire::checksum;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
-use xwq_core::planner::CostModel;
 use xwq_core::Strategy;
 
 /// File magic: `XWQP`.
 pub const PLANS_MAGIC: [u8; 4] = *b"XWQP";
 
-/// Current `.xwqp` format version. Version 2 added per-entry execution
-/// history (cumulative runs / visits) after each program blob; version 1
-/// sidecars are still read, with zero history.
-pub const PLANS_VERSION: u32 = 2;
+/// The `.xwqp` format version, the only one the reader accepts. Older
+/// sidecars are rejected as [`FormatError::UnsupportedVersion`], which
+/// callers treat like any other invalid sidecar: a cold re-plan.
+pub const PLANS_VERSION: u32 = 3;
 
 /// Header size in bytes (same shape as the `.xwqi` header).
 pub const PLANS_HEADER_LEN: usize = 32;
@@ -74,33 +72,24 @@ pub struct PlanEntry {
     pub runs: u64,
     /// Cumulative visits those runs observed — with `runs`, the feedback a
     /// restarted server re-plans from instead of cold estimates (see
-    /// [`xwq_core::Engine::install_program_with_history`]). Version-1
-    /// sidecars carry no history; both fields read back as zero.
+    /// [`xwq_core::Engine::install_program_with_history`]).
     pub total_visits: u64,
 }
 
-/// A full sidecar: the index binding, the cost model the programs were
-/// planned under, and the programs themselves.
+/// A full sidecar: the index binding and the programs themselves.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PlanSet {
     /// The `.xwqi` header checksum this sidecar was written for.
     pub index_checksum: u64,
-    /// Planner cost constants in effect when these programs were derived.
-    pub model: CostModel,
-    /// True if `model` came from `xwq bench --calibrate` rather than the
-    /// compiled-in defaults.
-    pub calibrated: bool,
     /// The persisted programs.
     pub entries: Vec<PlanEntry>,
 }
 
 impl PlanSet {
-    /// An empty sidecar bound to `index_checksum` with default costs.
+    /// An empty sidecar bound to `index_checksum`.
     pub fn new(index_checksum: u64) -> Self {
         Self {
             index_checksum,
-            model: CostModel::default(),
-            calibrated: false,
             entries: Vec::new(),
         }
     }
@@ -133,9 +122,6 @@ pub fn peek_index_checksum(index_path: impl AsRef<Path>) -> Result<u64, FormatEr
 pub fn serialize_plans(set: &PlanSet) -> Vec<u8> {
     let mut p = Vec::new();
     p.extend_from_slice(&set.index_checksum.to_le_bytes());
-    p.extend_from_slice(&set.model.automaton_visit.to_bits().to_le_bytes());
-    p.extend_from_slice(&set.model.automaton_setup.to_bits().to_le_bytes());
-    p.push(set.calibrated as u8);
     p.extend_from_slice(&(set.entries.len() as u32).to_le_bytes());
     for e in &set.entries {
         put_bytes(&mut p, e.query.as_bytes());
@@ -169,7 +155,7 @@ pub fn deserialize_plans(bytes: &[u8]) -> Result<PlanSet, FormatError> {
         return Err(FormatError::BadMagic);
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if !(1..=PLANS_VERSION).contains(&version) {
+    if version != PLANS_VERSION {
         return Err(FormatError::UnsupportedVersion(version));
     }
     let payload_len = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
@@ -202,21 +188,6 @@ pub fn deserialize_plans(bytes: &[u8]) -> Result<PlanSet, FormatError> {
         pos: 0,
     };
     let index_checksum = r.u64()?;
-    let model = CostModel {
-        automaton_visit: f64::from_bits(r.u64()?),
-        automaton_setup: f64::from_bits(r.u64()?),
-    };
-    if !(model.automaton_visit.is_finite() && model.automaton_setup.is_finite())
-        || model.automaton_visit <= 0.0
-        || model.automaton_setup < 0.0
-    {
-        return Err(FormatError::Corrupt("nonsensical cost model".into()));
-    }
-    let calibrated = match r.u8()? {
-        0 => false,
-        1 => true,
-        _ => return Err(FormatError::Corrupt("bad calibrated flag".into())),
-    };
     let count = r.u32()? as usize;
     // Each entry takes at least 12 bytes of length prefixes.
     if count > r.remaining() / 12 + 1 {
@@ -229,18 +200,12 @@ pub fn deserialize_plans(bytes: &[u8]) -> Result<PlanSet, FormatError> {
         let strategy = Strategy::from_str(&token)
             .map_err(|_| FormatError::Corrupt(format!("unknown strategy token {token:?}")))?;
         let program = r.bytes(PROGRAM_MAX)?.to_vec();
-        // Execution history arrived with version 2; v1 entries start cold.
-        let (runs, total_visits) = if version >= 2 {
-            (r.u64()?, r.u64()?)
-        } else {
-            (0, 0)
-        };
         entries.push(PlanEntry {
             query,
             strategy,
             program,
-            runs,
-            total_visits,
+            runs: r.u64()?,
+            total_visits: r.u64()?,
         });
     }
     if r.remaining() != 0 {
@@ -251,8 +216,6 @@ pub fn deserialize_plans(bytes: &[u8]) -> Result<PlanSet, FormatError> {
     }
     Ok(PlanSet {
         index_checksum,
-        model,
-        calibrated,
         entries,
     })
 }
@@ -308,10 +271,6 @@ impl<'a> Rd<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, FormatError> {
-        Ok(self.take(1)?[0])
-    }
-
     fn u32(&mut self) -> Result<u32, FormatError> {
         Ok(u32::from_le_bytes(
             self.take(4)?.try_into().expect("4 bytes"),
@@ -347,11 +306,6 @@ mod tests {
     fn sample() -> PlanSet {
         PlanSet {
             index_checksum: 0xfeed_beef_dead_cafe,
-            model: CostModel {
-                automaton_visit: 11.5,
-                automaton_setup: 40.0,
-            },
-            calibrated: true,
             entries: vec![
                 PlanEntry {
                     query: "//item[quantity]".into(),
@@ -409,53 +363,24 @@ mod tests {
         }
     }
 
+    /// Versions 1 and 2 (which carried planner cost constants) are
+    /// rejected like any unknown version: callers re-plan cold.
     #[test]
     fn bad_magic_and_version_rejected() {
-        let mut bytes = serialize_plans(&sample());
+        let bytes = serialize_plans(&sample());
         let mut m = bytes.clone();
         m[0] = b'Y';
         assert!(matches!(deserialize_plans(&m), Err(FormatError::BadMagic)));
-        bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
-        assert!(matches!(
-            deserialize_plans(&bytes),
-            Err(FormatError::UnsupportedVersion(99))
-        ));
-    }
-
-    /// A version-1 sidecar (no per-entry history) still reads back, with
-    /// every entry starting cold. Serialized by hand exactly as the v1
-    /// writer did.
-    #[test]
-    fn version_1_sidecars_read_back_with_zero_history() {
-        let want = sample();
-        let mut p = Vec::new();
-        p.extend_from_slice(&want.index_checksum.to_le_bytes());
-        p.extend_from_slice(&want.model.automaton_visit.to_bits().to_le_bytes());
-        p.extend_from_slice(&want.model.automaton_setup.to_bits().to_le_bytes());
-        p.push(want.calibrated as u8);
-        p.extend_from_slice(&(want.entries.len() as u32).to_le_bytes());
-        for e in &want.entries {
-            put_bytes(&mut p, e.query.as_bytes());
-            put_bytes(&mut p, e.strategy.token().as_bytes());
-            put_bytes(&mut p, &e.program);
-        }
-        let mut bytes = Vec::with_capacity(PLANS_HEADER_LEN + p.len());
-        bytes.extend_from_slice(&PLANS_MAGIC);
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        bytes.extend_from_slice(&(p.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&checksum(&p).to_le_bytes());
-        bytes.extend_from_slice(&p);
-
-        let got = deserialize_plans(&bytes).unwrap();
-        assert_eq!(got.index_checksum, want.index_checksum);
-        assert_eq!(got.entries.len(), want.entries.len());
-        for (g, w) in got.entries.iter().zip(&want.entries) {
-            assert_eq!(g.query, w.query);
-            assert_eq!(g.strategy, w.strategy);
-            assert_eq!(g.program, w.program);
-            assert_eq!((g.runs, g.total_visits), (0, 0), "v1 entries start cold");
+        for version in [1u32, 2, 99] {
+            let mut m = bytes.clone();
+            m[4..8].copy_from_slice(&version.to_le_bytes());
+            assert!(
+                matches!(
+                    deserialize_plans(&m),
+                    Err(FormatError::UnsupportedVersion(v)) if v == version
+                ),
+                "version {version} accepted"
+            );
         }
     }
 

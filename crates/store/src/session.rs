@@ -38,7 +38,6 @@ use std::sync::atomic::AtomicU64 as StdAtomicU64;
 use std::sync::Mutex as StdMutex;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-use xwq_core::planner::CostModel;
 use xwq_core::{CompiledQuery, EvalScratch, EvalStats, Program, QueryError, Strategy};
 use xwq_obs::{Counter, LatencyHisto, Registry};
 use xwq_xml::NodeId;
@@ -385,8 +384,6 @@ impl Session {
             .get(document)
             .ok_or_else(|| SessionError::UnknownDocument(document.to_string()))?;
         let mut set = PlanSet::new(peek_index_checksum(index_path).map_err(SessionError::Persist)?);
-        set.model = doc.engine().cost_model();
-        set.calibrated = set.model != CostModel::default();
         {
             let cache = self.inner.cache.lock().expect("cache lock poisoned");
             for ((name, generation, query, strategy), compiled) in cache.iter() {

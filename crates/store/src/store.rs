@@ -149,14 +149,10 @@ impl DocumentStore {
         index: TreeIndex,
         plans: Option<Arc<PlanSet>>,
     ) -> Result<Arc<StoredDocument>, StoreError> {
-        let mut engine = Engine::from_index(index);
-        if let Some(p) = &plans {
-            engine.set_cost_model(p.model);
-        }
         let stored = Arc::new(StoredDocument {
             name: name.to_string(),
             generation: NEXT_GENERATION.fetch_add(1, Ordering::Relaxed),
-            engine,
+            engine: Engine::from_index(index),
             doc,
             plans,
         });

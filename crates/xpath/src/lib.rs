@@ -17,5 +17,5 @@ mod parser;
 mod rewrite;
 
 pub use ast::{Axis, NodeTest, Path, Pred, Step};
-pub use parser::{parse_xpath, XPathError};
+pub use parser::{parse_xpath, XPathError, MAX_PREDICATE_DEPTH};
 pub use rewrite::rewrite_forward;

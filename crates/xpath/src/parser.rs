@@ -20,11 +20,18 @@ impl fmt::Display for XPathError {
 
 impl std::error::Error for XPathError {}
 
+/// Deepest nesting of predicate expressions (`[…]`, `not(…)`, `(…)`) the
+/// parser accepts. Each level costs stack frames here and in every
+/// recursive pass over the AST (rewrite, compile, plan, evaluate), so
+/// without a cap one query string can overflow a thread's stack.
+pub const MAX_PREDICATE_DEPTH: usize = 32;
+
 /// Parses an XPath expression of the paper's fragment.
 pub fn parse_xpath(input: &str) -> Result<Path, XPathError> {
     let mut p = P {
         s: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let path = p.path()?;
     p.ws();
@@ -37,6 +44,8 @@ pub fn parse_xpath(input: &str) -> Result<Path, XPathError> {
 struct P<'a> {
     s: &'a [u8],
     pos: usize,
+    /// Predicate expressions currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> P<'a> {
@@ -208,13 +217,27 @@ impl<'a> P<'a> {
             if !self.eat("[") {
                 return Ok(out);
             }
-            let p = self.pred_or()?;
+            let p = self.nested()?;
             self.ws();
             if !self.eat("]") {
                 return self.err("expected `]`");
             }
             out.push(p);
         }
+    }
+
+    /// Parses a predicate expression one nesting level deeper, refusing to
+    /// go past [`MAX_PREDICATE_DEPTH`].
+    fn nested(&mut self) -> Result<Pred, XPathError> {
+        if self.depth == MAX_PREDICATE_DEPTH {
+            return self.err(format!(
+                "predicates nested deeper than {MAX_PREDICATE_DEPTH} levels"
+            ));
+        }
+        self.depth += 1;
+        let p = self.pred_or();
+        self.depth -= 1;
+        p
     }
 
     /// `or` has lowest precedence, then `and`, then atoms.
@@ -296,7 +319,7 @@ impl<'a> P<'a> {
             if !self.eat("(") {
                 return self.err("expected `(` after not");
             }
-            let inner = self.pred_or()?;
+            let inner = self.nested()?;
             self.ws();
             if !self.eat(")") {
                 return self.err("expected `)`");
@@ -304,7 +327,7 @@ impl<'a> P<'a> {
             return Ok(Pred::Not(Box::new(inner)));
         }
         if self.eat("(") {
-            let inner = self.pred_or()?;
+            let inner = self.nested()?;
             self.ws();
             if !self.eat(")") {
                 return self.err("expected `)`");
@@ -485,6 +508,21 @@ mod tests {
         assert!(parse_xpath("/a/unknownaxis::b").is_err());
         assert!(parse_xpath("//a[not b]").is_err());
         assert!(parse_xpath("//a trailing").is_err());
+    }
+
+    #[test]
+    fn predicate_nesting_is_capped() {
+        // `[`, `not(` and `(` each open one level.
+        for (open, close) in [("[b", "]"), ("[not(b", ")]"), ("[(b", ")]")] {
+            let depth = |n: usize| format!("//a{}{}", open.repeat(n), close.repeat(n));
+            let per = open.matches(['[', '(']).count();
+            assert!(
+                parse_xpath(&depth(MAX_PREDICATE_DEPTH / per)).is_ok(),
+                "{open}"
+            );
+            let err = parse_xpath(&depth(MAX_PREDICATE_DEPTH / per + 1)).unwrap_err();
+            assert!(err.message.contains("nested deeper"), "{open}: {err}");
+        }
     }
 
     #[test]

@@ -25,8 +25,6 @@ use xwq::shard::{Corpus, Manifest, PlacementPolicy, ShardedSession};
 use xwq::store::{DocumentStore, QueryRequest, Session};
 use xwq::xml::{Document, NodeId, NONE};
 
-mod benchdiff;
-
 const USAGE: &str = "\
 usage:
   xwq index <file.xml> -o <file.xwqi> [--topology array|succinct] [--mmap]
@@ -50,11 +48,8 @@ usage:
             [--allow-latency-injection]
   xwq loadgen --addr <host:port> --query '<xpath>' [--rate <hz>]
             [--requests <n>] [--senders <n>] [--strategy <s>] [--count]
-            [--stream] [--bench-out <file.json>]
+            [--stream]
   xwq xmark -o <file.xml> [--factor <f>] [--seed <n>]
-  xwq bench [--factor <f>] [--seed <n>] [--repeats <n>] [--threads <list>]
-            [--out <file.json>] [--mmap] [--calibrate]
-  xwq bench-diff <old.json> <new.json> [--threshold <pct>] [--p99-threshold <pct>]
   xwq lint [--root <dir>]
   xwq '<xpath>' <file.xml> [options]
   xwq --help | --version
@@ -73,12 +68,8 @@ options:
   --no-save-plans
                  (query --index) do not write the compiled program back to
                  the .xwqp plan sidecar after a cold plan
-  --calibrate    (bench) fit per-deployment planner cost constants from the
-                 measured suite and stamp them into the warm-start sidecar
   --repeat <n>   (batch) run the workload n times, exercising the cache [1]
   --threads <n>  (batch) worker threads for the batch [machine cores]
-                 (bench) comma-separated list of thread counts to measure,
-                 e.g. `--threads 1,2,8` [derived from available cores]
 
 subcommands:
   index       parse + index an XML file once, persist it as a .xwqi artifact
@@ -115,17 +106,8 @@ subcommands:
   loadgen     open-loop (fixed arrival schedule, latency measured from the
               scheduled arrival — no coordinated omission), closed-socket
               load generator against a running `xwq serve`; prints p50/p99/
-              error-rate and can publish them into the `serve` section of
-              BENCH_eval.json (judged by bench-diff)
+              error-rate
   xmark       generate an XMark sample document as XML (corpus seed data)
-  bench       run the fixed XMark query suite under every strategy and write
-              machine-readable results (ns/query, nodes/sec, cache hit rates,
-              batch scaling vs a measured serial baseline, VM-vs-tree-executor
-              dispatch cost, Fig. 3 traversal counters, warm-vs-cold
-              time-to-first-query) to BENCH_eval.json
-  bench-diff  compare two BENCH_eval.json runs; exit non-zero when any
-              strategy's ns/query regressed by more than the threshold [15%]
-              or its p99 ns regressed beyond --p99-threshold [40%]
   lint        token-level hygiene pass over the workspace sources: unsafe
               only in whitelisted modules and always under a SAFETY
               comment, no static mut, no wildcard Ordering imports,
@@ -195,8 +177,6 @@ fn main() -> ExitCode {
         Some("serve") => cmd_serve(&args[1..]),
         Some("loadgen") => cmd_loadgen(&args[1..]),
         Some("xmark") => cmd_xmark(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
-        Some("bench-diff") => cmd_bench_diff(&args[1..]),
         Some("lint") => cmd_lint(&args[1..]),
         // Legacy one-shot form: xwq '<xpath>' <file.xml> [options].
         Some(_) => cmd_query(&args),
@@ -312,7 +292,7 @@ fn cmd_query(args: &[String]) -> ExitCode {
         return usage_error("--threads is only valid with the batch subcommand");
     }
 
-    let (query, doc, mut engine) = match (index_path, &positional[..]) {
+    let (query, doc, engine) = match (index_path, &positional[..]) {
         (Some(path), [q]) => {
             let loaded = if flags.mmap {
                 xwq::store::read_index_file_mmap(path)
@@ -340,12 +320,8 @@ fn cmd_query(args: &[String]) -> ExitCode {
     };
 
     // Warm start: a validated `.xwqp` sidecar next to the index supplies
-    // compiled programs and the deployment's calibrated cost model.
+    // compiled programs.
     let warm = index_path.and_then(|p| xwq::store::load_sidecar_plans(Path::new(p)));
-    if let Some(set) = &warm {
-        engine.set_cost_model(set.model);
-    }
-    let engine = engine;
 
     let compiled = match engine.compile(query) {
         Ok(c) => c,
@@ -451,7 +427,6 @@ fn cmd_query(args: &[String]) -> ExitCode {
                         .as_deref()
                         .cloned()
                         .unwrap_or_else(|| xwq::store::PlanSet::new(checksum));
-                    set.model = engine.cost_model();
                     set.entries
                         .retain(|e| !(e.query == query && e.strategy == flags.strategy));
                     set.entries.push(xwq::store::PlanEntry {
@@ -512,7 +487,7 @@ fn cmd_explain(args: &[String]) -> ExitCode {
         }
         i += 1;
     }
-    let (query, mut engine) = match (index_path, &positional[..]) {
+    let (query, engine) = match (index_path, &positional[..]) {
         (Some(path), [q]) => {
             let loaded = if flags.mmap {
                 xwq::store::read_index_file_mmap(path)
@@ -530,13 +505,6 @@ fn cmd_explain(args: &[String]) -> ExitCode {
         },
         _ => return usage_error("explain needs '<xpath>' plus --index <file.xwqi> or <file.xml>"),
     };
-    // Explain under the same cost model a query against this index would
-    // run with: a valid `.xwqp` sidecar carries any calibrated constants.
-    let warm = index_path.and_then(|p| xwq::store::load_sidecar_plans(Path::new(p)));
-    if let Some(set) = &warm {
-        engine.set_cost_model(set.model);
-    }
-    let engine = engine;
     let compiled = match engine.compile(query) {
         Ok(c) => c,
         Err(e) => return fail(e),
@@ -587,16 +555,10 @@ fn cmd_explain(args: &[String]) -> ExitCode {
         xwq::core::DEFAULT_REPLAN_FACTOR,
         out.replanned
     ));
-    let model = engine.cost_model();
     text.push_str(&format!(
-        "cost model: automaton_visit {:.3}, automaton_setup {:.1} ({})\n",
-        model.automaton_visit,
-        model.automaton_setup,
-        if model == xwq::core::planner::CostModel::default() {
-            "paper defaults"
-        } else {
-            "calibrated"
-        }
+        "cost model: automaton_visit {:.3}, automaton_setup {:.1}\n",
+        xwq::core::planner::AUTOMATON_VISIT,
+        xwq::core::planner::AUTOMATON_SETUP,
     ));
     // EPIPE-tolerant: `xwq explain … | head` (or `| grep -q`) must exit
     // cleanly when the reader closes the pipe, not panic.
@@ -1501,10 +1463,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
 /// `xwq loadgen --addr <host:port> --query '<xpath>' …`
 ///
 /// Drives a running `xwq serve` with an open-loop schedule (see
-/// `xwq_serve::loadgen`) and prints the latency/error report. With
-/// `--bench-out`, the report is spliced into the `serve` section of the
-/// named bench JSON so `xwq bench-diff` judges it next to the vm and
-/// fig3 sections.
+/// `xwq_serve::loadgen`) and prints the latency/error report.
 fn cmd_loadgen(args: &[String]) -> ExitCode {
     let mut addr: Option<String> = None;
     let mut query: Option<String> = None;
@@ -1512,7 +1471,6 @@ fn cmd_loadgen(args: &[String]) -> ExitCode {
     let mut strategy: Option<Strategy> = None;
     let mut count_only = false;
     let mut stream = false;
-    let mut bench_out: Option<PathBuf> = None;
     let mut i = 0;
     while i < args.len() {
         macro_rules! value {
@@ -1559,13 +1517,6 @@ fn cmd_loadgen(args: &[String]) -> ExitCode {
             "--strategy" => strategy = Some(value!("--strategy")),
             "--count" => count_only = true,
             "--stream" => stream = true,
-            "--bench-out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => bench_out = Some(PathBuf::from(p)),
-                    None => return usage_error("--bench-out needs a path"),
-                }
-            }
             flag if flag.starts_with('-') => {
                 return usage_error(&format!("unknown loadgen flag {flag}"))
             }
@@ -1625,38 +1576,6 @@ fn cmd_loadgen(args: &[String]) -> ExitCode {
         report.elapsed_ns as f64 / 1e9
     );
 
-    if let Some(path) = bench_out {
-        let doc = match std::fs::read_to_string(&path) {
-            Ok(d) => d,
-            // A fresh file starts as an empty object; the splice below
-            // adds the serve section as its only key.
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => "{\n}\n".to_string(),
-            Err(e) => return fail(format!("{}: {e}", path.display())),
-        };
-        let value = format!(
-            "{{\"rate_hz\": {:.3}, \"requests\": {}, \"sent\": {}, \"ok\": {}, \"errors\": {}, \"late\": {}, \"error_rate\": {:.6}, \"achieved_rps\": {:.3}, \"p50_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}",
-            cfg.rate_hz,
-            cfg.requests,
-            report.sent,
-            report.ok,
-            report.errors,
-            report.late,
-            report.error_rate,
-            report.achieved_rps,
-            report.p50_ns,
-            report.p99_ns,
-            report.max_ns
-        );
-        let merged = match benchdiff::upsert_trailing_section(&doc, "serve", &value) {
-            Ok(m) => m,
-            Err(e) => return fail(format!("{}: {e}", path.display())),
-        };
-        if let Err(e) = std::fs::write(&path, merged) {
-            return fail(format!("{}: {e}", path.display()));
-        }
-        eprintln!("# serve section -> {}", path.display());
-    }
-
     if report.sent > 0 && report.ok == 0 {
         fail("loadgen: every request failed")
     } else {
@@ -1713,588 +1632,7 @@ fn cmd_xmark(args: &[String]) -> ExitCode {
     }
 }
 
-/// `xwq bench [--factor f] [--seed n] [--repeats n] [--threads n] [--out p]`
-///
-/// Runs the fixed XMark query suite (the paper's Fig. 2 workload) under
-/// every strategy and writes a machine-readable `BENCH_eval.json`:
-/// ns/query (best-of-`repeats`), traversal counters, nodes/sec, session
-/// cache hit rates, and `query_many` batch scaling per thread count. The
-/// file is the perf trajectory record — every hot-path PR appends a new
-/// measurement to compare against.
-fn cmd_bench(args: &[String]) -> ExitCode {
-    let mut factor = 0.1f64;
-    let mut seed = 42u64;
-    let mut repeats = 5usize;
-    let mut thread_list: Option<Vec<usize>> = None;
-    let mut use_mmap = false;
-    let mut calibrate = false;
-    let mut out_path = String::from("BENCH_eval.json");
-    let mut i = 0;
-    while i < args.len() {
-        macro_rules! value {
-            ($name:literal) => {{
-                i += 1;
-                match args.get(i).map(|s| s.parse()) {
-                    Some(Ok(v)) => v,
-                    _ => return usage_error(concat!($name, " needs a valid value")),
-                }
-            }};
-        }
-        match args[i].as_str() {
-            "--factor" => factor = value!("--factor"),
-            "--seed" => seed = value!("--seed"),
-            "--repeats" => repeats = value!("--repeats"),
-            "--threads" => {
-                i += 1;
-                let parsed: Option<Vec<usize>> = args.get(i).map(|v| {
-                    v.split(',')
-                        .map(|t| t.trim().parse::<usize>())
-                        .collect::<Result<Vec<_>, _>>()
-                        .unwrap_or_default()
-                });
-                match parsed {
-                    Some(list) if !list.is_empty() && list.iter().all(|&t| t > 0) => {
-                        thread_list = Some(list)
-                    }
-                    _ => {
-                        return usage_error(
-                            "--threads needs a comma-separated list of positive integers",
-                        )
-                    }
-                }
-            }
-            "--mmap" => use_mmap = true,
-            "--calibrate" => calibrate = true,
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => out_path = p.clone(),
-                    None => return usage_error("--out needs a path"),
-                }
-            }
-            flag => return usage_error(&format!("unknown bench flag {flag}")),
-        }
-        i += 1;
-    }
-    let repeats = repeats.max(1);
-    // The batch thread counts to measure: an explicit list wins; otherwise
-    // derive from the machine — powers of two up to the core count, the
-    // core count itself, and one oversubscribed point so single-core boxes
-    // still show a real (measured) comparison instead of a lone
-    // `threads: 1` row.
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let thread_counts: Vec<usize> = match thread_list {
-        Some(list) => list,
-        None => {
-            let mut counts: Vec<usize> =
-                std::iter::successors(Some(1usize), |t| t.checked_mul(2).filter(|&t| t <= cores))
-                    .collect();
-            counts.push(cores);
-            counts.push(cores * 2);
-            counts.sort_unstable();
-            counts.dedup();
-            counts
-        }
-    };
-
-    eprintln!("# generating XMark factor {factor} (seed {seed})…");
-    let doc = xwq::xmark::generate(xwq::xmark::GenOptions { factor, seed });
-    let n_nodes = doc.len();
-    let n_labels = doc.alphabet().len();
-    // The serving store: built in memory, or round-tripped through a
-    // `.xwqi` file and memory-mapped so every evaluation below runs
-    // directly against the mapped pages.
-    let store = DocumentStore::new();
-    let mut mmap_tmp: Option<std::path::PathBuf> = None;
-    let stored = if use_mmap {
-        let index = xwq::index::TreeIndex::build(&doc);
-        let tmp = std::env::temp_dir().join(format!("xwq-bench-{}.xwqi", std::process::id()));
-        if let Err(e) = xwq::store::write_index_file(&tmp, &doc, &index) {
-            return fail(format!("{}: {e}", tmp.display()));
-        }
-        drop((doc, index));
-        match store.open_mmap("bench", &tmp) {
-            Ok(s) => {
-                mmap_tmp = Some(tmp);
-                s
-            }
-            Err(e) => return fail(format!("{}: {e}", tmp.display())),
-        }
-    } else {
-        match store.insert("bench", doc, TopologyKind::Array) {
-            Ok(s) => s,
-            Err(e) => return fail(e),
-        }
-    };
-    let engine = stored.engine();
-    eprintln!(
-        "# {n_nodes} nodes, {n_labels} labels{}",
-        if use_mmap { " (mmap-served)" } else { "" }
-    );
-
-    // The compilable subset of the fixed suite (query texts only — each
-    // strategy compiles its own copies below, so the per-query memo pools
-    // a `CompiledQuery` carries never leak one strategy's warm tables
-    // into another's measurements).
-    let suite: Vec<(usize, &'static str)> = xwq::xmark::queries()
-        .filter(|(_, q)| engine.compile(q).is_ok())
-        .collect();
-    if suite.is_empty() {
-        return fail("no query of the suite compiled");
-    }
-
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"workload\": {{\"suite\": \"xmark-fig2\", \"factor\": {factor}, \"seed\": {seed}, \"nodes\": {n_nodes}, \"queries\": {}, \"repeats\": {repeats}, \"mmap\": {use_mmap}}},\n",
-        suite.len()
-    ));
-
-    // Per-strategy, per-query evaluation timings.
-    json.push_str("  \"eval\": [\n");
-    let mut scratch = xwq::core::EvalScratch::new();
-    let mut first = true;
-    // Deterministic per-strategy traversal totals — the paper's Fig. 3
-    // table over this workload (visited/jumps/selected are counter facts,
-    // not timings, so bench-diff can gate them at a tight threshold).
-    let mut fig3_rows = String::new();
-    // (visited, best-ns) samples per strategy, feeding `--calibrate`'s
-    // least-squares fit of per-visit and setup costs.
-    let mut opt_samples: Vec<(f64, f64)> = Vec::new();
-    let mut jump_samples: Vec<(f64, f64)> = Vec::new();
-    for strat in Strategy::ALL {
-        let mut total_ns = 0f64;
-        let mut total = xwq::core::EvalStats::default();
-        let mut per_query = String::new();
-        // Every (query, repeat) evaluation feeds the strategy's latency
-        // histogram, so the percentile rows describe the full measured
-        // distribution — warm repeats included — not just the best-of.
-        let histo = xwq::obs::LatencyHisto::new();
-        for &(n, text) in &suite {
-            let q = engine.compile(text).expect("pre-checked above");
-            let mut best = f64::INFINITY;
-            let mut stats = xwq::core::EvalStats::default();
-            for rep in 0..repeats {
-                let t0 = std::time::Instant::now();
-                let out = engine.run_with_scratch(&q, strat, &mut scratch);
-                let dt = t0.elapsed().as_nanos() as f64;
-                histo.record(dt as u64);
-                if dt < best {
-                    best = dt;
-                }
-                // Counters come from the *cold* run: they describe the
-                // strategy's traversal algorithm. ns keeps the best-of —
-                // including pool-warm repeats, the serving-path number.
-                if rep == 0 {
-                    stats = out.stats;
-                }
-            }
-            total_ns += best;
-            total.accumulate(&stats);
-            match strat {
-                Strategy::Optimized => opt_samples.push((stats.visited as f64, best)),
-                Strategy::Jumping => jump_samples.push((stats.visited as f64, best)),
-                _ => {}
-            }
-            if !per_query.is_empty() {
-                per_query.push_str(", ");
-            }
-            per_query.push_str(&format!(
-                "{{\"q\": {n}, \"query\": {}, \"ns\": {best:.0}, \"visited\": {}, \"jumps\": {}, \"memo_hits\": {}, \"memo_misses\": {}, \"selected\": {}}}",
-                json_str(text), stats.visited, stats.jumps, stats.memo_hits, stats.memo_misses, stats.selected
-            ));
-        }
-        let ns_per_query = total_ns / suite.len() as f64;
-        let nodes_per_sec = if total_ns > 0.0 {
-            total.visited as f64 / (total_ns / 1e9)
-        } else {
-            0.0
-        };
-        let hit_rate = if total.memo_hits + total.memo_misses > 0 {
-            total.memo_hits as f64 / (total.memo_hits + total.memo_misses) as f64
-        } else {
-            0.0
-        };
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
-        let pct = histo.summary().expect("suite is non-empty");
-        json.push_str(&format!(
-            "    {{\"strategy\": \"{}\", \"ns_per_query\": {ns_per_query:.0}, \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"max_ns\": {}, \"visited_nodes_per_sec\": {nodes_per_sec:.0}, \"memo_hit_rate\": {hit_rate:.4}, \"queries\": [{per_query}]}}",
-            strat.token(),
-            pct.p50,
-            pct.p90,
-            pct.p99,
-            pct.p999,
-            pct.max
-        ));
-        eprintln!(
-            "# {:<14} {:>12.0} ns/query  p50 {:>10} p99 {:>10}  {:>14.0} visited-nodes/s  memo hit rate {:.1}%",
-            strat.token(),
-            ns_per_query,
-            pct.p50,
-            pct.p99,
-            nodes_per_sec,
-            hit_rate * 100.0
-        );
-        if !fig3_rows.is_empty() {
-            fig3_rows.push_str(",\n");
-        }
-        fig3_rows.push_str(&format!(
-            "    {{\"strategy\": \"{}\", \"visited\": {}, \"jumps\": {}, \"selected\": {}}}",
-            strat.token(),
-            total.visited,
-            total.jumps,
-            total.selected
-        ));
-    }
-    json.push_str("\n  ],\n");
-    json.push_str(&format!("  \"fig3\": [\n{fig3_rows}\n  ],\n"));
-
-    // Register VM vs the retired tree-walking plan executor over the same
-    // auto-planned suite: the dispatch-loop cost the compiled-plans work
-    // is accountable for, measured head-to-head on identical plans.
-    let (vm_ns, tree_ns) = {
-        let compiled: Vec<_> = suite
-            .iter()
-            .map(|&(_, text)| {
-                let q = engine.compile(text).expect("pre-checked above");
-                let plan = engine.plan(&q, Strategy::Auto);
-                (q, plan)
-            })
-            .collect();
-        let mut vm_best = f64::INFINITY;
-        let mut tree_best = f64::INFINITY;
-        for _ in 0..repeats {
-            let t0 = std::time::Instant::now();
-            for (q, _) in &compiled {
-                engine.run_with_scratch(q, Strategy::Auto, &mut scratch);
-            }
-            vm_best = vm_best.min(t0.elapsed().as_nanos() as f64);
-            let t0 = std::time::Instant::now();
-            for (q, plan) in &compiled {
-                engine.run_plan(q, plan, Strategy::Auto, &mut scratch);
-            }
-            tree_best = tree_best.min(t0.elapsed().as_nanos() as f64);
-        }
-        let n = suite.len() as f64;
-        (vm_best / n, tree_best / n)
-    };
-    let vm_speedup = if vm_ns > 0.0 { tree_ns / vm_ns } else { 0.0 };
-    json.push_str(&format!(
-        "  \"vm\": {{\"vm_ns_per_query\": {vm_ns:.0}, \"tree_ns_per_query\": {tree_ns:.0}, \"speedup_vs_tree\": {vm_speedup:.2}}},\n"
-    ));
-    eprintln!(
-        "# vm dispatch   {vm_ns:>12.0} ns/query  vs tree executor {tree_ns:>12.0} ns/query  ({vm_speedup:.2}x)"
-    );
-
-    // `--calibrate`: fit per-deployment cost constants from the measured
-    // (visited, ns) samples. Optimized is the automaton path; Jumping's
-    // per-visit slope stands in for the spine-visit unit the planner
-    // prices everything in. Degenerate fits keep the paper defaults.
-    let default_model = xwq::core::planner::CostModel::default();
-    let calibrated_model = if calibrate {
-        let (a_opt, b_opt) = linear_fit(&opt_samples);
-        let (_, b_jump) = linear_fit(&jump_samples);
-        if b_opt > 0.0 && b_jump > 0.0 {
-            Some(xwq::core::planner::CostModel {
-                automaton_visit: (b_opt / b_jump).max(0.01),
-                automaton_setup: (a_opt / b_jump).max(0.0),
-            })
-        } else {
-            eprintln!("# calibrate: degenerate fit, keeping paper defaults");
-            None
-        }
-    } else {
-        None
-    };
-    let model = calibrated_model.unwrap_or(default_model);
-    json.push_str(&format!(
-        "  \"calibration\": {{\"automaton_visit\": {:.4}, \"automaton_setup\": {:.4}, \"calibrated\": {}}},\n",
-        model.automaton_visit,
-        model.automaton_setup,
-        calibrated_model.is_some()
-    ));
-    eprintln!(
-        "# cost model    automaton_visit {:.3}  automaton_setup {:.1}  ({})",
-        model.automaton_visit,
-        model.automaton_setup,
-        if calibrated_model.is_some() {
-            "calibrated"
-        } else {
-            "paper defaults"
-        }
-    );
-
-    // Serving layer: compiled-query cache hit rate and batch scaling.
-    let store = Arc::new(store);
-    let session = Session::new(Arc::clone(&store));
-    let requests: Vec<QueryRequest> = suite
-        .iter()
-        .map(|&(_, q)| QueryRequest::new("bench", q))
-        .collect();
-    // Warm the compiled-query cache, then measure the serial baseline as
-    // its own run — every speedup below is relative to this *measured*
-    // number, never a definitionally-1.00 self-comparison.
-    let _ = session.query_many_with_threads(&requests, 1);
-    let measure = |t: usize| {
-        let mut best = f64::INFINITY;
-        for _ in 0..repeats {
-            let t0 = std::time::Instant::now();
-            let results = session.query_many_with_threads(&requests, t);
-            let dt = t0.elapsed().as_nanos() as f64;
-            assert_eq!(results.len(), requests.len());
-            if dt < best {
-                best = dt;
-            }
-        }
-        best
-    };
-    let serial_ns = measure(1);
-    eprintln!("# query_many serial baseline {serial_ns:>12.0} ns/batch");
-    json.push_str(&format!("  \"batch_serial_ns\": {serial_ns:.0},\n"));
-    json.push_str("  \"batch\": [\n");
-    for (bi, &t) in thread_counts.iter().enumerate() {
-        let best = measure(t);
-        let speedup = if best > 0.0 { serial_ns / best } else { 0.0 };
-        if bi > 0 {
-            json.push_str(",\n");
-        }
-        json.push_str(&format!(
-            "    {{\"threads\": {t}, \"batch_ns\": {best:.0}, \"speedup_vs_serial\": {speedup:.2}}}"
-        ));
-        eprintln!(
-            "# query_many x{t:<2} {:>12.0} ns/batch  speedup {:.2}x",
-            best, speedup
-        );
-    }
-    json.push_str("\n  ],\n");
-
-    // Sharded corpus serving: three XMark documents (seed, seed+1,
-    // seed+2) on two shards, one full-suite fan-out per measurement.
-    // Every worker count gets a fresh `ShardedSession` (so pools and
-    // caches never leak between rows) warmed with one untimed pass; the
-    // baseline is the measured serial (workers = 0) mode.
-    let corpus_docs = 3usize;
-    let corpus_shards = 2usize;
-    let corpus = Corpus::new(corpus_shards, PlacementPolicy::RoundRobin);
-    for d in 0..corpus_docs {
-        let doc = xwq::xmark::generate(xwq::xmark::GenOptions {
-            factor,
-            seed: seed + d as u64,
-        });
-        let index = xwq::index::TreeIndex::build(&doc);
-        if let Err(e) = corpus.add_prebuilt(&format!("doc{d}"), doc, index) {
-            return fail(e);
-        }
-    }
-    let corpus = Arc::new(corpus);
-    let corpus_measure = |session: &ShardedSession| {
-        let suite_pass = || {
-            for &(_, q) in &suite {
-                let out = session
-                    .query_corpus(q, Strategy::default())
-                    .expect("corpus fan-out");
-                assert_eq!(out.len(), corpus_docs);
-            }
-        };
-        suite_pass(); // warm the per-shard compiled caches and pools
-        let mut best = f64::INFINITY;
-        for _ in 0..repeats {
-            let t0 = std::time::Instant::now();
-            suite_pass();
-            let dt = t0.elapsed().as_nanos() as f64;
-            if dt < best {
-                best = dt;
-            }
-        }
-        best
-    };
-    let corpus_serial_ns = corpus_measure(&ShardedSession::new(Arc::clone(&corpus), 0));
-    eprintln!(
-        "# corpus serial baseline {corpus_serial_ns:>12.0} ns/suite ({corpus_docs} docs, {corpus_shards} shards)"
-    );
-    json.push_str(&format!(
-        "  \"corpus\": {{\"docs\": {corpus_docs}, \"shards\": {corpus_shards}, \"queries\": {}, \"serial_ns\": {corpus_serial_ns:.0}, \"runs\": [\n",
-        suite.len()
-    ));
-    for (ci, &wkr) in thread_counts.iter().enumerate() {
-        let session = ShardedSession::new(Arc::clone(&corpus), wkr);
-        let best = corpus_measure(&session);
-        let speedup = if best > 0.0 {
-            corpus_serial_ns / best
-        } else {
-            0.0
-        };
-        if ci > 0 {
-            json.push_str(",\n");
-        }
-        json.push_str(&format!(
-            "    {{\"workers\": {wkr}, \"ns\": {best:.0}, \"speedup_vs_serial\": {speedup:.2}}}"
-        ));
-        eprintln!(
-            "# corpus  x{wkr:<2} {best:>12.0} ns/suite  speedup {speedup:.2}x  ({} workers live)",
-            session.total_workers()
-        );
-    }
-    json.push_str("\n  ]},\n");
-
-    // Warm start: persist this index, serve the suite once to build the
-    // compiled-plan sidecar, then compare time-to-first-query of a fresh
-    // open (load + session + one query) with and without the `.xwqp`.
-    let warm_tmp = std::env::temp_dir().join(format!("xwq-bench-warm-{}.xwqi", std::process::id()));
-    let warm_sidecar = xwq::store::plans_sidecar_path(&warm_tmp);
-    if let Err(e) = stored.save(&warm_tmp) {
-        return fail(format!("{}: {e}", warm_tmp.display()));
-    }
-    std::fs::remove_file(&warm_sidecar).ok();
-    let first_query = suite[0].1;
-    let time_first = |rounds: usize| -> Result<(f64, u64), String> {
-        let mut best = f64::INFINITY;
-        let mut installs = 0u64;
-        for _ in 0..rounds {
-            let store = Arc::new(DocumentStore::new());
-            let session = Session::new(Arc::clone(&store));
-            let t0 = std::time::Instant::now();
-            store
-                .load_index_file("w", &warm_tmp)
-                .map_err(|e| e.to_string())?;
-            session
-                .query("w", first_query, Strategy::Auto)
-                .map_err(|e| e.to_string())?;
-            best = best.min(t0.elapsed().as_nanos() as f64);
-            installs = store
-                .get("w")
-                .expect("just loaded")
-                .engine()
-                .plan_counters()
-                .installed;
-        }
-        Ok((best, installs))
-    };
-    let (cold_first_ns, _) = match time_first(repeats) {
-        Ok(v) => v,
-        Err(e) => return fail(e),
-    };
-    let plan_entries = {
-        let store = Arc::new(DocumentStore::new());
-        let session = Session::new(Arc::clone(&store));
-        if let Err(e) = store.load_index_file("w", &warm_tmp) {
-            return fail(e);
-        }
-        for &(_, q) in &suite {
-            if let Err(e) = session.query("w", q, Strategy::Auto) {
-                return fail(e);
-            }
-        }
-        match session.persist_plans("w", &warm_tmp) {
-            Ok(n) => n,
-            Err(e) => return fail(e),
-        }
-    };
-    if calibrated_model.is_some() {
-        // Stamp the calibrated constants into the sidecar so every warm
-        // open (here and outside this bench) plans with them.
-        match xwq::store::read_plans_file(&warm_sidecar) {
-            Ok(mut set) => {
-                set.model = model;
-                set.calibrated = true;
-                if let Err(e) = xwq::store::write_plans_file_durable(&warm_sidecar, &set) {
-                    return fail(format!("{}: {e}", warm_sidecar.display()));
-                }
-            }
-            Err(e) => return fail(format!("{}: {e}", warm_sidecar.display())),
-        }
-    }
-    let (warm_first_ns, warm_installs) = match time_first(repeats) {
-        Ok(v) => v,
-        Err(e) => return fail(e),
-    };
-    std::fs::remove_file(&warm_tmp).ok();
-    std::fs::remove_file(&warm_sidecar).ok();
-    json.push_str(&format!(
-        "  \"warm_start\": {{\"cold_first_query_ns\": {cold_first_ns:.0}, \"warm_first_query_ns\": {warm_first_ns:.0}, \"plan_entries\": {plan_entries}, \"warm_installs\": {warm_installs}}},\n"
-    ));
-    eprintln!(
-        "# warm start    cold first query {cold_first_ns:>12.0} ns, warm {warm_first_ns:>12.0} ns  ({plan_entries} sidecar entries, {warm_installs} installed)"
-    );
-
-    // Hot-path telemetry overhead: the same auto-strategy suite served
-    // serially through two fresh sessions over the same store — one with a
-    // wired registry, one without — warm caches. Each timed sample covers a
-    // block of back-to-back suite runs: one ~100µs suite run per sample is
-    // inside scheduler noise, and the true per-query cost (two clock reads
-    // + three relaxed atomics) is only resolvable once amortized.
-    let overhead_measure = |telemetry: bool| {
-        const BLOCK: usize = 32;
-        let session = Session::new(Arc::clone(&store));
-        let registry = xwq::obs::Registry::new();
-        if telemetry {
-            session.enable_telemetry(&registry, &[]);
-        }
-        let _ = session.query_many_with_threads(&requests, 1);
-        let mut best = f64::INFINITY;
-        for _ in 0..repeats {
-            let t0 = std::time::Instant::now();
-            for _ in 0..BLOCK {
-                let results = session.query_many_with_threads(&requests, 1);
-                assert_eq!(results.len(), requests.len());
-            }
-            let dt = t0.elapsed().as_nanos() as f64 / BLOCK as f64;
-            if dt < best {
-                best = dt;
-            }
-        }
-        best
-    };
-    let plain_ns = overhead_measure(false);
-    let telemetry_ns = overhead_measure(true);
-    let overhead_pct = if plain_ns > 0.0 {
-        (telemetry_ns - plain_ns) / plain_ns * 100.0
-    } else {
-        0.0
-    };
-    json.push_str(&format!(
-        "  \"telemetry\": {{\"suite_ns_plain\": {plain_ns:.0}, \"suite_ns_telemetry\": {telemetry_ns:.0}, \"overhead_pct\": {overhead_pct:.2}}},\n"
-    ));
-    eprintln!(
-        "# telemetry overhead: {plain_ns:.0} -> {telemetry_ns:.0} ns/suite ({overhead_pct:+.2}%)"
-    );
-
-    // Read the cache counters only after the measured batches, so the hit
-    // rate reflects the warm serving workload, not just the cold warm-up.
-    let cache = session.cache_stats();
-    let cache_hit_rate = if cache.hits + cache.misses > 0 {
-        cache.hits as f64 / (cache.hits + cache.misses) as f64
-    } else {
-        0.0
-    };
-    json.push_str(&format!(
-        "  \"session_cache\": {{\"hits\": {}, \"misses\": {}, \"hit_rate\": {cache_hit_rate:.4}}}\n}}\n",
-        cache.hits, cache.misses
-    ));
-
-    // Unlinking while mapped is fine on unix: the session's pages stay
-    // valid until the last Arc into the mapping drops.
-    if let Some(tmp) = mmap_tmp {
-        std::fs::remove_file(tmp).ok();
-    }
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => {
-            eprintln!("# wrote {out_path}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail(format!("cannot write {out_path}: {e}")),
-    }
-}
-
-/// `xwq bench-diff <old.json> <new.json> [--threshold <pct>]`
-///
-/// Exits non-zero when any strategy's `ns_per_query` in `new` regressed by
-/// more than the threshold (percent, default 15) against `old` — the CI
-/// gate that closes the perf-regression loop on `BENCH_eval.json`.
+/// `xwq lint [--root <dir>]`
 fn cmd_lint(args: &[String]) -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut i = 0;
@@ -2330,269 +1668,6 @@ fn cmd_lint(args: &[String]) -> ExitCode {
         );
         ExitCode::FAILURE
     }
-}
-
-fn cmd_bench_diff(args: &[String]) -> ExitCode {
-    let mut positional: Vec<&str> = Vec::new();
-    let mut threshold_pct = 15.0f64;
-    // Tail latency is judged at its own, looser default: p99 over a
-    // best-of-`repeats` suite is inherently noisier than the mean.
-    let mut p99_threshold_pct = 40.0f64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threshold" => {
-                i += 1;
-                match args.get(i).map(|s| s.parse::<f64>()) {
-                    Some(Ok(v)) if v >= 0.0 => threshold_pct = v,
-                    _ => return usage_error("--threshold needs a non-negative percentage"),
-                }
-            }
-            "--p99-threshold" => {
-                i += 1;
-                match args.get(i).map(|s| s.parse::<f64>()) {
-                    Some(Ok(v)) if v >= 0.0 => p99_threshold_pct = v,
-                    _ => return usage_error("--p99-threshold needs a non-negative percentage"),
-                }
-            }
-            flag if flag.starts_with('-') => return usage_error(&format!("unknown flag {flag}")),
-            p => positional.push(p),
-        }
-        i += 1;
-    }
-    let [old_path, new_path] = positional[..] else {
-        return usage_error("bench-diff needs exactly two BENCH_eval.json paths");
-    };
-    let load = |path: &str| -> Result<benchdiff::Json, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        benchdiff::parse_json(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let (old, new) = match (load(old_path), load(new_path)) {
-        (Ok(o), Ok(n)) => (o, n),
-        (Err(e), _) | (_, Err(e)) => return fail(e),
-    };
-    let report = match benchdiff::diff_benches(&old, &new, threshold_pct / 100.0) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
-    let mut regressed = false;
-    for r in &report.rows {
-        let marker = if r.regressed {
-            regressed = true;
-            "REGRESSED"
-        } else if r.delta < 0.0 {
-            "improved"
-        } else {
-            "ok"
-        };
-        println!(
-            "{:<10} {:>12.0} -> {:>12.0} ns/query  {:>+7.1}%  {}",
-            r.strategy,
-            r.old_ns,
-            r.new_ns,
-            r.delta * 100.0,
-            marker
-        );
-    }
-    // One-sided rows never pass silently: each gets an explicit warning
-    // (on stderr, so piped row output stays machine-readable) but never
-    // fails the diff by itself — workloads evolve.
-    for s in &report.only_old {
-        eprintln!(
-            "xwq: bench-diff: warning: strategy {s:?} only in {old_path} — not judged (removed or renamed?)"
-        );
-    }
-    for s in &report.only_new {
-        eprintln!(
-            "xwq: bench-diff: warning: strategy {s:?} only in {new_path} — not judged (added or renamed?)"
-        );
-    }
-    // Tail latency rides its own gate with a looser threshold; rows where
-    // only one file carries percentiles (bench versions straddle the
-    // rollout) are warned about, never judged.
-    match benchdiff::diff_percentiles(&old, &new, p99_threshold_pct / 100.0) {
-        Ok(report) => {
-            for r in &report.rows {
-                let marker = if r.regressed {
-                    regressed = true;
-                    "REGRESSED"
-                } else if r.delta < 0.0 {
-                    "improved"
-                } else {
-                    "ok"
-                };
-                println!(
-                    "p99/{:<6} {:>12.0} -> {:>12.0} ns        {:>+7.1}%  {}",
-                    r.strategy,
-                    r.old_ns,
-                    r.new_ns,
-                    r.delta * 100.0,
-                    marker
-                );
-            }
-            for s in &report.unjudged {
-                eprintln!(
-                    "xwq: bench-diff: warning: strategy {s:?} has p99_ns in only one file — tail not judged"
-                );
-            }
-        }
-        Err(e) => return fail(e),
-    }
-    // The corpus section rides the same gate: judged when both files have
-    // it, warned about when only one does, silent only when neither does.
-    match benchdiff::diff_corpus(&old, &new, threshold_pct / 100.0) {
-        Ok(benchdiff::CorpusDiff::BothMissing) => {}
-        Ok(benchdiff::CorpusDiff::OneSided { in_new }) => {
-            let path = if in_new { new_path } else { old_path };
-            eprintln!(
-                "xwq: bench-diff: warning: corpus section only in {path} — not judged (bench versions differ?)"
-            );
-        }
-        Ok(benchdiff::CorpusDiff::Compared {
-            rows,
-            only_old,
-            only_new,
-        }) => {
-            for r in &rows {
-                let marker = if r.regressed {
-                    regressed = true;
-                    "REGRESSED"
-                } else if r.delta < 0.0 {
-                    "improved"
-                } else {
-                    "ok"
-                };
-                println!(
-                    "corpus/{:<3} {:>12.0} -> {:>12.0} ns/suite  {:>+7.1}%  {}",
-                    r.label,
-                    r.old_ns,
-                    r.new_ns,
-                    r.delta * 100.0,
-                    marker
-                );
-            }
-            for w in only_old {
-                eprintln!(
-                    "xwq: bench-diff: warning: corpus workers={w} only in {old_path} — not judged"
-                );
-            }
-            for w in only_new {
-                eprintln!(
-                    "xwq: bench-diff: warning: corpus workers={w} only in {new_path} — not judged"
-                );
-            }
-        }
-        Err(e) => return fail(e),
-    }
-    // The vm (dispatch cost) and fig3 (traversal counters) sections ride
-    // the same rollout contract as corpus: judged when both files carry
-    // them, warned about when one does, silent only when neither does.
-    for (name, unit, diffed) in [
-        (
-            "vm",
-            "ns/query",
-            benchdiff::diff_vm(&old, &new, threshold_pct / 100.0),
-        ),
-        (
-            "fig3",
-            "visited ",
-            benchdiff::diff_fig3(&old, &new, threshold_pct / 100.0),
-        ),
-        (
-            "serve",
-            "        ",
-            benchdiff::diff_serve(&old, &new, threshold_pct / 100.0),
-        ),
-    ] {
-        match diffed {
-            Ok(benchdiff::SectionDiff::BothMissing) => {}
-            Ok(benchdiff::SectionDiff::OneSided { in_new }) => {
-                let path = if in_new { new_path } else { old_path };
-                eprintln!(
-                    "xwq: bench-diff: warning: {name} section only in {path} — not judged (bench versions differ?)"
-                );
-            }
-            Ok(benchdiff::SectionDiff::Compared {
-                rows,
-                only_old,
-                only_new,
-            }) => {
-                for r in &rows {
-                    let marker = if r.regressed {
-                        regressed = true;
-                        "REGRESSED"
-                    } else if r.delta < 0.0 {
-                        "improved"
-                    } else {
-                        "ok"
-                    };
-                    println!(
-                        "{name}/{:<7} {:>12.0} -> {:>12.0} {unit} {:>+7.1}%  {marker}",
-                        r.label,
-                        r.old,
-                        r.new,
-                        r.delta * 100.0,
-                    );
-                }
-                for l in only_old {
-                    eprintln!(
-                        "xwq: bench-diff: warning: {name} row {l:?} only in {old_path} — not judged"
-                    );
-                }
-                for l in only_new {
-                    eprintln!(
-                        "xwq: bench-diff: warning: {name} row {l:?} only in {new_path} — not judged"
-                    );
-                }
-            }
-            Err(e) => return fail(e),
-        }
-    }
-    if regressed {
-        eprintln!(
-            "xwq: bench-diff: regression beyond threshold ({threshold_pct}% mean, {p99_threshold_pct}% p99)"
-        );
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-/// Least-squares fit of `y ≈ a + b·x`, returned as `(a, b)`. Degenerate
-/// inputs (empty, or no spread in `x`) yield a flat fit through the mean
-/// so callers can detect them via `b == 0`.
-fn linear_fit(samples: &[(f64, f64)]) -> (f64, f64) {
-    if samples.is_empty() {
-        return (0.0, 0.0);
-    }
-    let n = samples.len() as f64;
-    let mx = samples.iter().map(|s| s.0).sum::<f64>() / n;
-    let my = samples.iter().map(|s| s.1).sum::<f64>() / n;
-    let sxx: f64 = samples.iter().map(|s| (s.0 - mx) * (s.0 - mx)).sum();
-    if sxx <= f64::EPSILON {
-        return (my, 0.0);
-    }
-    let sxy: f64 = samples.iter().map(|s| (s.0 - mx) * (s.1 - my)).sum();
-    let b = sxy / sxx;
-    (my - b * mx, b)
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 enum FlagParse<'a> {
