@@ -13,8 +13,8 @@
 //!   exposition, including this crate's own request/connection metrics.
 //! * `GET /healthz`: liveness.
 //!
-//! The connection model is the engine's pool discipline one layer up: a
-//! bounded accept queue feeding a fixed worker pool, keep-alive
+//! The connection model is the engine's own [`xwq_store::pool::Pool`] one
+//! layer up: a bounded accept queue feeding a fixed set of handlers, keep-alive
 //! pipelining, per-request read/write timeouts, and overload that
 //! degrades loudly (`503` + `Retry-After`, `408`, `413`) instead of
 //! wedging. [`Server::shutdown`] drains gracefully: stop accepting,

@@ -1,8 +1,8 @@
-//! The HTTP server over a [`ShardedSession`]: a bounded accept queue in
-//! front of a fixed worker pool (the same park/notify discipline as the
-//! shard pools, one layer up), keep-alive pipelining, per-request
-//! timeouts, and graceful drain — stop accepting, finish in-flight
-//! requests, then join.
+//! The HTTP server over a [`ShardedSession`]: the acceptor feeds accepted
+//! connections into a bounded [`Pool`] of handler threads (the same pool
+//! the shards run on, one layer up), with keep-alive pipelining,
+//! per-request timeouts, and graceful drain — stop accepting, finish
+//! in-flight and queued connections, then join.
 //!
 //! Routes:
 //!
@@ -18,17 +18,17 @@
 //! are `408`, malformed input is `400`/`413` — never a panic and never a
 //! wedged connection.
 
-use std::collections::VecDeque;
-use std::io::{self, BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader, BufWriter, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use xwq_core::{EvalStats, Strategy};
 use xwq_obs::{HttpMetrics, Registry, RenderFormat};
 use xwq_shard::{Corpus, CorpusError, DocOutcome, ShardedSession};
+use xwq_store::pool::Pool;
 use xwq_xml::{Document, NodeId, NONE};
 
 use crate::http::{self, ChunkedWriter, ReadError, Request};
@@ -82,8 +82,6 @@ struct Inner {
     /// finish what they hold (queued connections included — they were
     /// accepted, so they are in flight) and stop renewing keep-alives.
     stopping: AtomicBool,
-    queue: Mutex<VecDeque<TcpStream>>,
-    queue_cv: Condvar,
 }
 
 /// A running server; dropping it (or calling [`Server::shutdown`])
@@ -92,7 +90,9 @@ pub struct Server {
     inner: Arc<Inner>,
     addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// Connection handlers `xwq-http-{i}`; the queue cap is
+    /// [`ServeConfig::max_queued`].
+    pool: Arc<Pool<TcpStream>>,
 }
 
 impl Server {
@@ -113,30 +113,31 @@ impl Server {
             registry,
             cfg,
             stopping: AtomicBool::new(false),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
         });
-        let workers = (0..inner.cfg.http_workers.max(1))
-            .map(|i| {
-                let inner = Arc::clone(&inner);
-                thread::Builder::new()
-                    .name(format!("xwq-http-{i}"))
-                    .spawn(move || worker_loop(&inner))
-                    .expect("spawn http worker")
-            })
-            .collect();
+        let pool = Arc::new(Pool::bounded(inner.cfg.max_queued));
+        let handler = Arc::clone(&inner);
+        pool.grow(
+            inner.cfg.http_workers.max(1),
+            |i| format!("xwq-http-{i}"),
+            move |_: &mut (), stream: TcpStream| {
+                handler.metrics.connections.add(1);
+                handle_connection(&handler, stream);
+                handler.metrics.connections.add(-1);
+            },
+        );
         let acceptor = {
             let inner = Arc::clone(&inner);
+            let pool = Arc::clone(&pool);
             thread::Builder::new()
                 .name("xwq-http-accept".to_string())
-                .spawn(move || accept_loop(&inner, listener))
+                .spawn(move || accept_loop(&inner, &pool, listener))
                 .expect("spawn http acceptor")
         };
         Ok(Server {
             inner,
             addr,
             acceptor: Some(acceptor),
-            workers,
+            pool,
         })
     }
 
@@ -161,22 +162,21 @@ impl Server {
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
-        self.inner.queue_cv.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        // Only now, with nothing left to enqueue: handlers finish every
+        // queued connection, then exit.
+        self.pool.shutdown();
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        if self.acceptor.is_some() || !self.workers.is_empty() {
+        if self.acceptor.is_some() {
             self.drain();
         }
     }
 }
 
-fn accept_loop(inner: &Inner, listener: TcpListener) {
+fn accept_loop(inner: &Inner, pool: &Pool<TcpStream>, listener: TcpListener) {
     for stream in listener.incoming() {
         if inner.stopping.load(Ordering::SeqCst) {
             break; // listener drops here; further connects are refused
@@ -184,25 +184,21 @@ fn accept_loop(inner: &Inner, listener: TcpListener) {
         let Ok(stream) = stream else { continue };
         let _ = stream.set_read_timeout(Some(inner.cfg.read_timeout));
         let _ = stream.set_write_timeout(Some(inner.cfg.write_timeout));
-        let mut queue = inner.queue.lock().expect("http queue poisoned");
-        if queue.len() >= inner.cfg.max_queued {
-            drop(queue);
+        if let Err(stream) = pool.push(stream) {
             shed(inner, stream);
-            continue;
         }
-        queue.push_back(stream);
-        drop(queue);
-        inner.queue_cv.notify_one();
     }
 }
+
+/// How long a shed connection may keep sending before it is dropped.
+const SHED_LINGER: Duration = Duration::from_millis(100);
 
 /// Queue-full shedding, done on the acceptor thread: one small write,
 /// then close. The client sees `503` instead of an opaque hang.
 fn shed(inner: &Inner, stream: TcpStream) {
-    let mut w = BufWriter::new(stream);
     let body = b"{\"error\":\"server accept queue is full\"}\n";
     let _ = http::write_response(
-        &mut w,
+        &mut BufWriter::new(&stream),
         503,
         "application/json",
         &["Retry-After: 1"],
@@ -210,25 +206,20 @@ fn shed(inner: &Inner, stream: TcpStream) {
         false,
     );
     inner.metrics.record_response(503, 0);
-}
-
-fn worker_loop(inner: &Inner) {
-    loop {
-        let stream = {
-            let mut queue = inner.queue.lock().expect("http queue poisoned");
-            loop {
-                if let Some(s) = queue.pop_front() {
-                    break s;
-                }
-                if inner.stopping.load(Ordering::SeqCst) {
-                    return;
-                }
-                queue = inner.queue_cv.wait(queue).expect("http queue poisoned");
-            }
-        };
-        inner.metrics.connections.add(1);
-        handle_connection(inner, stream);
-        inner.metrics.connections.add(-1);
+    // Closing a socket with unread request bytes makes the kernel answer
+    // with a reset, which can destroy the 503 before the client reads it.
+    // Half-close instead, and read what the client sends until it closes
+    // too, for at most `SHED_LINGER`.
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + SHED_LINGER;
+    let mut sink = [0u8; 1024];
+    while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        if !matches!((&stream).read(&mut sink), Ok(n) if n > 0) {
+            break;
+        }
     }
 }
 

@@ -408,7 +408,7 @@ impl Corpus {
             }
         }
         if renamed {
-            wal::fsync_dir(dir).map_err(CorpusError::Io)?;
+            xwq_store::fsync_dir(dir).map_err(CorpusError::Io)?;
         }
 
         // Sweep: any remaining staged file is either a duplicate of a
@@ -784,7 +784,9 @@ impl Corpus {
 
         // 1. Stage + sync_data. A failure here touched nothing durable —
         //    no poisoning, just clean up the partial staged file.
-        if let Err(e) = wal::stage_write(&staged, &bytes, state.plan.as_ref()) {
+        let staged_ok = xwq_store::write_synced(&staged, &bytes)
+            .and_then(|()| state.plan.as_ref().map_or(Ok(()), |p| p.check_stage_sync()));
+        if let Err(e) = staged_ok {
             let _ = std::fs::remove_file(&staged);
             return Err(CorpusError::Io(e));
         }
@@ -820,7 +822,7 @@ impl Corpus {
 
         // 3. Publish the artifact under its final name.
         let publish = std::fs::rename(&staged, state.dir.join(&file))
-            .and_then(|()| wal::fsync_dir(&state.dir));
+            .and_then(|()| xwq_store::fsync_dir(&state.dir));
         if let Err(e) = publish {
             state.broken = true;
             return Err(CorpusError::Io(e));
@@ -878,8 +880,7 @@ impl Corpus {
                 .placements
                 .get(name)
                 .ok_or_else(|| CorpusError::UnknownDocument(name.to_string()))?;
-            self.shards[shard].remove(name);
-            self.shards[shard].insert_prebuilt(name, doc, index)?;
+            self.shards[shard].replace_prebuilt(name, doc, index)?;
             catalog.loads[shard].nodes += new_nodes;
             catalog.loads[shard].nodes -= old.nodes as usize;
             shard

@@ -23,11 +23,11 @@
 //! mutex around small maps — retirement and guard drop are rare next to
 //! query work, and correctness beats lock-free cleverness here.
 
-use crate::sync::{AtomicU64, Mutex, Ordering};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
+use xwq_store::sync::{AtomicU64, Mutex, Ordering};
 
 /// A retired artifact awaiting reclamation.
 #[derive(Debug)]
@@ -247,14 +247,14 @@ mod tests {
 }
 
 /// Exhaustive model check of the pin/retire/seal protocol (built only
-/// under `RUSTFLAGS="--cfg model"`, where the `crate::sync` mutex is the
+/// under `RUSTFLAGS="--cfg model"`, where the `xwq_store::sync` mutex is the
 /// `xwq_verify` shim). The serial tests above fix the interleaving by
 /// construction; here the checker constructs *every* interleaving of a
 /// reader and a retiring writer within the preemption bound.
 #[cfg(all(test, model))]
 mod model_tests {
     use super::*;
-    use crate::sync::{thread as sync_thread, AtomicBool};
+    use xwq_store::sync::{thread as sync_thread, AtomicBool};
 
     #[test]
     fn model_no_unlink_while_a_pre_retire_guard_is_pinned() {

@@ -61,7 +61,6 @@ mod corpus;
 pub mod gc;
 mod manifest;
 mod session;
-pub mod sync;
 pub mod wal;
 
 pub use corpus::{Corpus, CorpusError, DurableEntry, PlacementPolicy, RecoveryStats, ShardLoad};

@@ -186,7 +186,7 @@ impl Manifest {
     /// is what lets the WAL checkpoint treat the manifest as a consistent
     /// baseline.
     pub fn write_dir(&self, dir: impl AsRef<Path>) -> Result<(), ManifestError> {
-        crate::wal::atomic_write(dir.as_ref(), MANIFEST_FILE, self.to_text().as_bytes())
+        xwq_store::atomic_write(dir.as_ref(), MANIFEST_FILE, self.to_text().as_bytes())
             .map_err(ManifestError::Io)
     }
 

@@ -1,8 +1,7 @@
 //! The [`ShardedSession`]: corpus-wide query serving on per-shard pinned
 //! worker pools.
 //!
-//! Layout: every corpus shard gets its own long-lived worker pool (the
-//! condvar-parked design the single-document `Session` pool introduced)
+//! Layout: every corpus shard gets its own long-lived worker [`Pool`]
 //! **and** its own [`Session`] — so the compiled-query LRU, the memo
 //! pools hanging off each `CompiledQuery`, and every worker's
 //! [`EvalScratch`] are all confined to one shard by construction. A
@@ -15,8 +14,8 @@
 //! [`ShardedSession::query_corpus`] fans one query out over all (or a
 //! subset of) documents: the caller groups the target documents by shard,
 //! publishes one job per involved shard, and waits on a single corpus-wide
-//! completion latch while each shard's workers claim documents from their
-//! shard's atomic cursor. Results always come back merged in document-name
+//! completion [`Latch`] while each shard's workers claim documents from
+//! their job's [`Cursor`]. Results always come back merged in document-name
 //! order, so the answer is byte-identical no matter how many shards or
 //! workers served it.
 //!
@@ -26,17 +25,15 @@
 //! [`CorpusError::Overloaded`] — under overload the corpus degrades by
 //! shedding load, not by piling unbounded work onto the pools.
 
-use crate::sync::{
-    thread as sync_thread, wait_deadline, AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex,
-    Ordering,
-};
 use crate::{Corpus, CorpusError};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use xwq_core::{EvalScratch, EvalStats, Strategy};
 use xwq_obs::{Counter, LatencyHisto, Registry};
+use xwq_store::pool::{Cursor, Latch, Pool};
+use xwq_store::sync::{wait_deadline, AtomicBool, AtomicU64, Condvar, Mutex, Ordering};
 use xwq_store::{CacheStats, QueryResponse, Session, SessionError};
 
 /// The corpus-wide merged result slots, indexed by each document's
@@ -150,7 +147,12 @@ struct ShardServer {
     /// [`Session::query_with_scratch`]), so the only threads touching a
     /// shard are the ones pinned to it.
     session: Arc<Session>,
-    pool: ShardPool,
+    /// The shard's pinned workers, named `xwq-shard{N}-w{M}`: a worker
+    /// spawned here only ever sees this shard's jobs, store and scratch.
+    pool: Pool<Arc<ShardJob>>,
+    /// `xwq_shard_queue_wait_ns{shard=...}`: publish→first-claim delay of
+    /// this shard's jobs. Set by [`ShardedSession::enable_telemetry`].
+    queue_wait: OnceLock<Arc<LatencyHisto>>,
 }
 
 impl ShardedSession {
@@ -174,7 +176,8 @@ impl ShardedSession {
                     Arc::clone(corpus.shard_store(s)),
                     config.cache_capacity,
                 )),
-                pool: ShardPool::new(s),
+                pool: Pool::new(),
+                queue_wait: OnceLock::new(),
             })
             .collect();
         Self {
@@ -214,7 +217,6 @@ impl ShardedSession {
                 .session
                 .enable_telemetry(registry, &[("shard", &label)]);
             let _ = shard
-                .pool
                 .queue_wait
                 .set(registry.histo_with("xwq_shard_queue_wait_ns", &[("shard", &label)]));
         }
@@ -229,7 +231,7 @@ impl ShardedSession {
 
     /// Workers currently pinned to shard `s`.
     pub fn shard_workers(&self, s: usize) -> usize {
-        self.shards[s].pool.worker_count()
+        self.shards[s].pool.workers()
     }
 
     /// Total live workers across all shards.
@@ -305,8 +307,7 @@ impl ShardedSession {
         query: &str,
         strategy: Strategy,
     ) -> Result<(Vec<DocOutcome>, EvalStats), CorpusError> {
-        let targets = self.corpus.placements();
-        self.run(query, strategy, targets)
+        self.run(query, strategy, self.corpus.placements(), None)
     }
 
     /// [`Self::query_corpus`] restricted to a subset of document names
@@ -330,19 +331,7 @@ impl ShardedSession {
         strategy: Strategy,
         docs: &[impl AsRef<str>],
     ) -> Result<(Vec<DocOutcome>, EvalStats), CorpusError> {
-        let mut names: Vec<&str> = docs.iter().map(AsRef::as_ref).collect();
-        names.sort_unstable();
-        names.dedup();
-        let targets = names
-            .into_iter()
-            .map(|name| {
-                self.corpus
-                    .shard_of(name)
-                    .map(|shard| (name.to_string(), shard))
-                    .ok_or_else(|| CorpusError::UnknownDocument(name.to_string()))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        self.run(query, strategy, targets)
+        self.run(query, strategy, self.doc_targets(docs)?, None)
     }
 
     /// Streaming [`Self::query_corpus_stats`]: instead of materializing
@@ -364,8 +353,7 @@ impl ShardedSession {
         strategy: Strategy,
         mut sink: impl FnMut(DocOutcome),
     ) -> Result<EvalStats, CorpusError> {
-        let targets = self.corpus.placements();
-        self.run_with_sink(query, strategy, targets, Some(&mut sink))
+        self.run(query, strategy, self.corpus.placements(), Some(&mut sink))
             .map(|(_, stats)| stats)
     }
 
@@ -378,10 +366,17 @@ impl ShardedSession {
         docs: &[impl AsRef<str>],
         mut sink: impl FnMut(DocOutcome),
     ) -> Result<EvalStats, CorpusError> {
+        self.run(query, strategy, self.doc_targets(docs)?, Some(&mut sink))
+            .map(|(_, stats)| stats)
+    }
+
+    /// `(name, shard)` for a subset of document names, deduplicated and in
+    /// name order; an unknown name fails the whole call.
+    fn doc_targets(&self, docs: &[impl AsRef<str>]) -> Result<Vec<(String, usize)>, CorpusError> {
         let mut names: Vec<&str> = docs.iter().map(AsRef::as_ref).collect();
         names.sort_unstable();
         names.dedup();
-        let targets = names
+        names
             .into_iter()
             .map(|name| {
                 self.corpus
@@ -389,29 +384,17 @@ impl ShardedSession {
                     .map(|shard| (name.to_string(), shard))
                     .ok_or_else(|| CorpusError::UnknownDocument(name.to_string()))
             })
-            .collect::<Result<Vec<_>, _>>()?;
-        self.run_with_sink(query, strategy, targets, Some(&mut sink))
-            .map(|(_, stats)| stats)
+            .collect()
     }
 
     /// The fan-out core. `targets` is `(name, shard)` in name order; the
-    /// returned outcomes keep that order.
+    /// returned outcomes keep that order. With a `sink`, each outcome is
+    /// emitted in that order *as it completes* instead (and the returned
+    /// vec is empty). The sink runs on the calling thread with no session
+    /// lock held, so it may block (e.g. on a socket write) without stalling
+    /// shard workers — though a blocked sink does hold this fan-out's
+    /// admission permit.
     fn run(
-        &self,
-        query: &str,
-        strategy: Strategy,
-        targets: Vec<(String, usize)>,
-    ) -> Result<(Vec<DocOutcome>, EvalStats), CorpusError> {
-        self.run_with_sink(query, strategy, targets, None)
-    }
-
-    /// [`Self::run`], optionally emitting each outcome through `sink` in
-    /// document-name order *as it completes* instead of materializing the
-    /// merged vector (streaming mode returns an empty outcome vec). The
-    /// sink runs on the calling thread with no session lock held, so it
-    /// may block (e.g. on a socket write) without stalling shard workers —
-    /// though a blocked sink does hold this fan-out's admission permit.
-    fn run_with_sink(
         &self,
         query: &str,
         strategy: Strategy,
@@ -435,108 +418,78 @@ impl ShardedSession {
             per_shard[*shard].push((slot, name.clone()));
         }
         let out: ResultSlots = Arc::new(Mutex::new((0..targets.len()).map(|_| None).collect()));
-        let mut totals = EvalStats::default();
+        let latch = Arc::new(Latch::new(targets.len(), sink.is_some()));
+        let query: Arc<str> = Arc::from(query);
+        #[cfg(test)]
+        let gate = self.eval_gate.lock().expect("gate poisoned").clone();
         // Next slot a streaming sink is owed (slots strictly below it have
         // been taken and emitted already).
         let mut emitted = 0usize;
 
-        if self.workers_per_shard == 0 {
-            // Serial reference mode: the caller serves each shard in
-            // order. The scratch is per *shard*, mirroring the pooled
-            // mode's invariant that evaluator state never crosses shards.
-            for (s, docs) in per_shard.iter().enumerate() {
-                if docs.is_empty() {
-                    continue;
-                }
-                let mut scratch = EvalScratch::new();
-                for (slot, name) in docs {
-                    #[cfg(test)]
-                    if let Some(gate) = self.eval_gate.lock().expect("gate poisoned").clone() {
-                        gate(name);
-                    }
-                    let result = self.shards[s].session.query_with_scratch(
-                        name,
-                        query,
-                        strategy,
-                        &mut scratch,
-                    );
-                    if let Ok(resp) = &result {
-                        totals.accumulate(&resp.stats);
-                    }
-                    out.lock().expect("corpus results poisoned")[*slot] = Some(result);
-                    if let Some(sink) = sink.as_deref_mut() {
-                        emitted = drain_ready(&targets, &out, emitted, sink);
-                    }
-                }
+        for (s, docs) in per_shard.into_iter().enumerate() {
+            if docs.is_empty() {
+                continue;
             }
-        } else {
-            let pending = Arc::new((Mutex::new(targets.len()), Condvar::new()));
-            let shared_totals = Arc::new(Mutex::new(EvalStats::default()));
-            let query: Arc<str> = Arc::from(query);
-            for (s, docs) in per_shard.into_iter().enumerate() {
-                if docs.is_empty() {
-                    continue;
-                }
-                let limit = self.workers_per_shard.min(docs.len());
-                let job =
-                    ShardJob {
-                        query: Arc::clone(&query),
-                        strategy,
-                        docs: Arc::new(docs),
-                        cursor: Arc::new(AtomicUsize::new(0)),
-                        participants: Arc::new(AtomicUsize::new(0)),
-                        limit,
-                        out: Arc::clone(&out),
-                        pending: Arc::clone(&pending),
-                        totals: Arc::clone(&shared_totals),
-                        queue_wait: self.shards[s].pool.queue_wait.get().map(|histo| {
-                            QueueWaitProbe {
-                                published: Instant::now(),
-                                recorded: Arc::new(AtomicBool::new(false)),
-                                histo: Arc::clone(histo),
-                            }
-                        }),
-                        #[cfg(test)]
-                        gate: self.eval_gate.lock().expect("gate poisoned").clone(),
-                    };
-                self.shards[s]
-                    .pool
-                    .ensure_workers(limit, &self.shards[s].session);
-                self.shards[s].pool.publish(job);
-            }
-            // The caller never works a shard itself in pooled mode — it
-            // would break pinning — so it waits on the latch. A streaming
-            // sink additionally drains the completed name-order prefix on
-            // every latch tick: a document's slot is written before its
-            // latch decrement fires (see `ShardJob::run_items`), so each
-            // wakeup can only ever find *more* of the prefix complete.
-            let (left, cv) = &*pending;
-            let mut remaining = *left.lock().expect("corpus pending poisoned");
-            loop {
+            let shard = &self.shards[s];
+            let job = Arc::new(ShardJob {
+                query: Arc::clone(&query),
+                strategy,
+                cursor: Cursor::new(docs.len()),
+                docs,
+                out: Arc::clone(&out),
+                latch: Arc::clone(&latch),
+                queue_wait: shard
+                    .queue_wait
+                    .get()
+                    .filter(|_| self.workers_per_shard > 0)
+                    .map(|histo| QueueWaitProbe {
+                        published: Instant::now(),
+                        recorded: AtomicBool::new(false),
+                        histo: Arc::clone(histo),
+                    }),
+                #[cfg(test)]
+                gate: gate.clone(),
+            });
+            if self.workers_per_shard == 0 {
+                // Serial reference mode: the caller serves each shard in
+                // order, with a fresh scratch per *shard* — evaluator state
+                // never crosses shards, as in pooled mode.
+                job.run(&shard.session, &mut EvalScratch::new());
                 if let Some(sink) = sink.as_deref_mut() {
                     emitted = drain_ready(&targets, &out, emitted, sink);
                 }
-                if remaining == 0 {
-                    break;
-                }
-                let guard = left.lock().expect("corpus pending poisoned");
-                let guard = if *guard == remaining {
-                    cv.wait(guard).expect("corpus pending poisoned")
-                } else {
-                    guard
-                };
-                remaining = *guard;
+                continue;
             }
-            totals = *shared_totals.lock().expect("corpus totals poisoned");
+            // Up to `limit` pinned workers join the job, one per handle.
+            let limit = self.workers_per_shard.min(job.docs.len());
+            let session = Arc::clone(&shard.session);
+            shard.pool.grow(
+                limit,
+                |w| format!("xwq-shard{s}-w{w}"),
+                move |scratch: &mut EvalScratch, job: Arc<ShardJob>| job.run(&session, scratch),
+            );
+            shard.pool.push_n(job, limit);
         }
+        // In pooled mode the caller never works a shard itself — it would
+        // break pinning — so it waits on the latch. A streaming sink drains
+        // the completed name-order prefix on every tick: a document's slot
+        // is written before its tick (see `Latch::work`), so each wakeup can
+        // only ever find *more* of the prefix complete.
+        let mut left = targets.len();
+        while left > 0 {
+            left = latch.wait_below(left);
+            if let Some(sink) = sink.as_deref_mut() {
+                emitted = drain_ready(&targets, &out, emitted, sink);
+            }
+        }
+        let totals = latch.wait();
 
         let mut slots = out.lock().expect("corpus results poisoned");
         let outcomes = targets
             .into_iter()
             .zip(slots.iter_mut())
-            .enumerate()
-            .filter(|(slot, _)| *slot >= emitted)
-            .map(|(_, ((doc, shard), slot))| DocOutcome {
+            .skip(emitted)
+            .map(|((doc, shard), slot)| DocOutcome {
                 doc,
                 shard,
                 result: slot.take().expect("every document answered exactly once"),
@@ -546,17 +499,6 @@ impl ShardedSession {
             histo.record(start.elapsed().as_nanos() as u64);
         }
         Ok((outcomes, totals))
-    }
-}
-
-impl Drop for ShardedSession {
-    fn drop(&mut self) {
-        for shard in &self.shards {
-            shard.pool.begin_shutdown();
-        }
-        for shard in &self.shards {
-            shard.pool.join();
-        }
     }
 }
 
@@ -572,32 +514,47 @@ impl fmt::Debug for ShardedSession {
     }
 }
 
-/// One published fan-out slice for one shard.
-#[derive(Clone)]
+/// One fan-out's slice for one shard, shared by the pinned workers holding
+/// its handles.
 struct ShardJob {
     query: Arc<str>,
     strategy: Strategy,
     /// `(merged-output slot, document name)` — only documents placed on
     /// this job's shard.
-    docs: Arc<Vec<(usize, String)>>,
-    cursor: Arc<AtomicUsize>,
-    /// Workers that joined (capped by `limit` so an explicit worker count
-    /// stays an upper bound even if the pool is larger).
-    participants: Arc<AtomicUsize>,
-    limit: usize,
+    docs: Vec<(usize, String)>,
+    cursor: Cursor,
     /// The corpus-wide merged output, shared by every shard's job.
     out: ResultSlots,
-    /// The corpus-wide completion latch `(documents left, signal)`.
-    pending: Arc<(Mutex<usize>, Condvar)>,
-    /// The corpus-wide evaluation totals; each worker folds its local
-    /// accumulation in once (see [`ShardJob::run_items`]).
-    totals: Arc<Mutex<EvalStats>>,
+    /// The corpus-wide completion latch, shared by every shard's job.
+    latch: Arc<Latch>,
     /// Queue-wait telemetry: the first claiming worker records how long
     /// the job sat published before any worker picked it up.
     queue_wait: Option<QueueWaitProbe>,
     /// Slow-shard test fixture (see [`ShardedSession::eval_gate`]).
     #[cfg(test)]
     gate: Option<EvalGate>,
+}
+
+impl ShardJob {
+    /// Answers this shard's documents until the job's cursor runs out.
+    /// `session` is the *shard's* session; `scratch` the calling worker's
+    /// lifetime scratch.
+    fn run(&self, session: &Session, scratch: &mut EvalScratch) {
+        if let Some(probe) = &self.queue_wait {
+            probe.record_first_claim();
+        }
+        self.latch.work(&self.cursor, scratch, |i, scratch| {
+            let (slot, name) = &self.docs[i];
+            #[cfg(test)]
+            if let Some(gate) = &self.gate {
+                gate(name);
+            }
+            let result = session.query_with_scratch(name, &self.query, self.strategy, scratch);
+            let stats = result.as_ref().map(|resp| resp.stats).unwrap_or_default();
+            self.out.lock().expect("corpus results poisoned")[*slot] = Some(result);
+            stats
+        });
+    }
 }
 
 /// Takes and emits the contiguous completed prefix of `out` starting at
@@ -628,10 +585,9 @@ fn drain_ready(
 }
 
 /// Telemetry carried on a published job (see [`ShardJob::queue_wait`]).
-#[derive(Clone)]
 struct QueueWaitProbe {
     published: Instant,
-    recorded: Arc<AtomicBool>,
+    recorded: AtomicBool,
     histo: Arc<LatencyHisto>,
 }
 
@@ -648,226 +604,6 @@ impl QueueWaitProbe {
         if !self.recorded.swap(true, Ordering::AcqRel) {
             self.histo
                 .record(self.published.elapsed().as_nanos() as u64);
-        }
-    }
-}
-
-impl ShardJob {
-    /// Claims and answers this shard's documents until the cursor runs
-    /// out. `session` is the *shard's* session; `scratch` the calling
-    /// worker's lifetime scratch. Stats of the documents this worker
-    /// answered are accumulated locally and folded into the fan-out
-    /// totals exactly once, at the end.
-    fn run_items(&self, session: &Session, scratch: &mut EvalScratch) {
-        /// Decrements the corpus latch exactly once per claimed document,
-        /// on the normal path and during unwinding — a panicking
-        /// evaluation surfaces as an unanswered slot, never as a caller
-        /// blocked forever.
-        struct PendingGuard<'a>(&'a (Mutex<usize>, Condvar));
-        impl Drop for PendingGuard<'_> {
-            fn drop(&mut self) {
-                let (left, cv) = self.0;
-                let mut left = left.lock().expect("corpus pending poisoned");
-                *left -= 1;
-                // Notify on *every* decrement, not just the last: a
-                // streaming caller wakes per document to emit the completed
-                // prefix, and the non-streaming caller just re-checks
-                // `left > 0` on the spurious wakeups.
-                cv.notify_all();
-            }
-        }
-        let mut local = EvalStats::default();
-        // A document's latch decrement is deferred until the *next* claim
-        // (or the final merge): the caller must not wake before this
-        // worker's stats are folded into the totals. A panic drops the
-        // in-flight guard and still decrements every claimed document once.
-        let mut answered: Option<PendingGuard> = None;
-        loop {
-            // Relaxed is sufficient: the fetch_add's total modification
-            // order alone partitions indices uniquely among workers, and
-            // every field a worker reads through the claimed index
-            // (`docs`, `query`, the slot vec) was published to it by the
-            // jobs-mutex release/acquire pair in publish→claim.
-            let i = self.cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= self.docs.len() {
-                if local != EvalStats::default() {
-                    self.totals
-                        .lock()
-                        .expect("corpus totals poisoned")
-                        .accumulate(&local);
-                }
-                drop(answered);
-                return;
-            }
-            drop(answered.replace(PendingGuard(&self.pending)));
-            let (slot, name) = &self.docs[i];
-            #[cfg(test)]
-            if let Some(gate) = &self.gate {
-                gate(name);
-            }
-            let result = session.query_with_scratch(name, &self.query, self.strategy, scratch);
-            if let Ok(resp) = &result {
-                local.accumulate(&resp.stats);
-            }
-            self.out.lock().expect("corpus results poisoned")[*slot] = Some(result);
-        }
-    }
-}
-
-/// A shard's persistent pinned pool: a job *queue* + condvar its workers
-/// park on. The single-document session pool gets away with one job slot
-/// because its caller participates in draining the cursor; here the
-/// caller only waits on the latch (working a shard itself would break
-/// pinning), so concurrent fan-outs admitted side by side must never
-/// overwrite each other's jobs — each publish enqueues, and workers keep
-/// claiming until the queue has nothing left for them. Scoped to one
-/// shard: a worker spawned here can never observe another shard's jobs,
-/// stores, or scratch.
-struct ShardPool {
-    shard: usize,
-    shared: Arc<PoolShared>,
-    workers: Mutex<Vec<sync_thread::JoinHandle<()>>>,
-    /// `xwq_shard_queue_wait_ns{shard=...}`: publish→first-claim delay of
-    /// this shard's jobs. Set by [`ShardedSession::enable_telemetry`].
-    queue_wait: OnceLock<Arc<LatencyHisto>>,
-}
-
-struct PoolShared {
-    /// Published jobs awaiting workers, oldest first. Entries are pruned
-    /// lazily during claim scans once fully claimed or saturated (running
-    /// workers hold their own clones).
-    jobs: Mutex<VecDeque<ShardJob>>,
-    work_cv: Condvar,
-    shutdown: AtomicBool,
-}
-
-/// Joins the first job in the queue that still wants workers, pruning
-/// entries that don't (cursor exhausted, or participant limit reached).
-/// `None` means nothing to do — the caller should park.
-fn claim(queue: &mut VecDeque<ShardJob>) -> Option<ShardJob> {
-    // Every scanned entry is either joined (return) or pruned, so the
-    // scan always looks at the queue head.
-    while let Some(job) = queue.front() {
-        // Relaxed is sufficient for both atomics here: the scan runs under
-        // the jobs mutex, which carries every publish→claim edge, and the
-        // values are monotonic counters used only as admission thresholds —
-        // a stale-low `cursor` read merely lets one extra worker join and
-        // find the cursor exhausted on its first claim, which the
-        // `run_items` loop handles as the normal exit path.
-        if job.cursor.load(Ordering::Relaxed) >= job.docs.len() {
-            // Every document is claimed; whoever claimed them finishes
-            // them. Nothing left for a new joiner.
-            queue.pop_front();
-            continue;
-        }
-        if job.participants.fetch_add(1, Ordering::Relaxed) < job.limit {
-            return Some(job.clone());
-        }
-        // Saturated: the `limit` workers that joined drain the cursor to
-        // exhaustion, so dropping the entry strands nothing (the explicit
-        // worker count stays an upper bound).
-        queue.pop_front();
-    }
-    None
-}
-
-impl ShardPool {
-    fn new(shard: usize) -> Self {
-        Self {
-            shard,
-            shared: Arc::new(PoolShared {
-                jobs: Mutex::new(VecDeque::new()),
-                work_cv: Condvar::new(),
-                shutdown: AtomicBool::new(false),
-            }),
-            workers: Mutex::new(Vec::new()),
-            queue_wait: OnceLock::new(),
-        }
-    }
-
-    fn worker_count(&self) -> usize {
-        self.workers.lock().expect("shard pool poisoned").len()
-    }
-
-    /// Grows this shard's pool to at least `want` workers, lazily — a
-    /// shard that never serves spawns none.
-    fn ensure_workers(&self, want: usize, session: &Arc<Session>) {
-        let mut workers = self.workers.lock().expect("shard pool poisoned");
-        while workers.len() < want {
-            let shared = Arc::clone(&self.shared);
-            let session = Arc::clone(session);
-            let handle = sync_thread::Builder::new()
-                .name(format!("xwq-shard{}-w{}", self.shard, workers.len()))
-                .spawn(move || worker_loop(shared, session))
-                .expect("spawn shard worker");
-            workers.push(handle);
-        }
-    }
-
-    fn publish(&self, job: ShardJob) {
-        let mut queue = self.shared.jobs.lock().expect("shard queue poisoned");
-        queue.push_back(job);
-        drop(queue);
-        self.shared.work_cv.notify_all();
-    }
-
-    fn begin_shutdown(&self) {
-        // Set the flag while holding the queue mutex: a worker checks
-        // `shutdown` and parks under this same mutex, so flipping it
-        // lock-free could land in the gap between a worker's check and
-        // its park — the notify would hit nobody and the worker would
-        // sleep through its own shutdown (hanging `join`).
-        let guard = self.shared.jobs.lock().expect("shard queue poisoned");
-        self.shared.shutdown.store(true, Ordering::Release);
-        drop(guard);
-        self.shared.work_cv.notify_all();
-    }
-
-    fn join(&self) {
-        let workers = std::mem::take(&mut *self.workers.lock().expect("shard pool poisoned"));
-        for w in workers {
-            let _ = w.join();
-        }
-    }
-}
-
-/// A pinned worker: parks on its shard's condvar, keeps one
-/// [`EvalScratch`] for its whole lifetime, and only ever touches its
-/// shard's session.
-fn worker_loop(shared: Arc<PoolShared>, session: Arc<Session>) {
-    let mut scratch = EvalScratch::new();
-    loop {
-        let job = {
-            let mut queue = shared.jobs.lock().expect("shard queue poisoned");
-            loop {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                match claim(&mut queue) {
-                    Some(job) => break job,
-                    None => queue = shared.work_cv.wait(queue).expect("shard queue poisoned"),
-                }
-            }
-        };
-        if let Some(probe) = &job.queue_wait {
-            probe.record_first_claim();
-        }
-        // Run the job to completion even if individual evaluations panic.
-        // The caller never participates in pooled mode, so a worker dying
-        // mid-job would strand the job's unclaimed documents and hang the
-        // caller on the latch forever. Instead: the panicked document's
-        // `PendingGuard` has already decremented the latch (its slot stays
-        // unanswered, which the caller surfaces), the scratch is rebuilt
-        // in case the unwind left it inconsistent, and the same worker —
-        // still a counted participant — re-enters `run_items` to claim
-        // the rest. Each retry consumes at least one cursor slot, so this
-        // loop always terminates.
-        while std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            job.run_items(&session, &mut scratch)
-        }))
-        .is_err()
-        {
-            scratch = EvalScratch::new();
         }
     }
 }
@@ -1240,6 +976,32 @@ mod tests {
         let rest: Vec<String> = rx.into_iter().collect();
         assert_eq!(rest, vec!["beta", "gamma"]);
         worker.join().unwrap();
+    }
+
+    /// A panicking evaluation surfaces in its own fan-out's caller and
+    /// leaves the pinned pools whole: the next fan-out answers every
+    /// document with the same workers.
+    #[test]
+    fn evaluation_panic_surfaces_and_the_pools_survive() {
+        let corpus = corpus(2);
+        let session = ShardedSession::new(Arc::clone(&corpus), 1);
+        let nodes = |out: Vec<DocOutcome>| -> Vec<Vec<u32>> {
+            out.into_iter().map(|o| o.result.unwrap().nodes).collect()
+        };
+        let expect = nodes(session.query_corpus("//x", Strategy::Auto).unwrap());
+        let workers = |s: &ShardedSession| (0..2).map(|i| s.shard_workers(i)).collect::<Vec<_>>();
+        let before = workers(&session);
+        *session.eval_gate.lock().unwrap() = Some(Arc::new(|name: &str| {
+            assert_ne!(name, "beta", "injected evaluation panic");
+        }) as EvalGate);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            session.query_corpus("//x", Strategy::Auto)
+        }));
+        assert!(caught.is_err(), "the fan-out's caller surfaces the panic");
+        *session.eval_gate.lock().unwrap() = None;
+        let again = nodes(session.query_corpus("//x", Strategy::Auto).unwrap());
+        assert_eq!(again, expect, "every document answered after the panic");
+        assert_eq!(workers(&session), before);
     }
 
     #[test]
@@ -1651,7 +1413,7 @@ mod tests {
 }
 
 /// Exhaustive model checks of this module's concurrency protocols. Only
-/// built under `RUSTFLAGS="--cfg model"`, where `crate::sync` resolves to
+/// built under `RUSTFLAGS="--cfg model"`, where `xwq_store::sync` resolves to
 /// the `xwq_verify` shims: every test body runs once per schedule the
 /// deterministic scheduler can construct within the preemption bound, and
 /// the assertions must hold on *all* of them. A failure panics with a
@@ -1659,7 +1421,7 @@ mod tests {
 #[cfg(all(test, model))]
 mod model_tests {
     use super::*;
-    use xwq_store::DocumentStore;
+    use xwq_store::sync::thread as sync_thread;
     use xwq_verify::Config;
 
     /// Preemption bound 2 covers every bug class this repo has shipped
@@ -1670,80 +1432,6 @@ mod model_tests {
             preemption_bound: Some(2),
             ..Config::default()
         }
-    }
-
-    fn tiny_session() -> Arc<Session> {
-        let store = DocumentStore::new();
-        store
-            .insert_xml("d0", "<r><x/><x/></r>", xwq_index::TopologyKind::Array)
-            .unwrap();
-        store
-            .insert_xml("d1", "<r><x/></r>", xwq_index::TopologyKind::Array)
-            .unwrap();
-        Arc::new(Session::with_cache_capacity(Arc::new(store), 4))
-    }
-
-    fn shard_job(
-        slot: usize,
-        name: &str,
-        out: &ResultSlots,
-        pending: &Arc<(Mutex<usize>, Condvar)>,
-        totals: &Arc<Mutex<EvalStats>>,
-    ) -> ShardJob {
-        ShardJob {
-            query: Arc::from("//x"),
-            strategy: Strategy::Auto,
-            docs: Arc::new(vec![(slot, name.to_string())]),
-            cursor: Arc::new(AtomicUsize::new(0)),
-            participants: Arc::new(AtomicUsize::new(0)),
-            limit: 1,
-            out: Arc::clone(out),
-            pending: Arc::clone(pending),
-            totals: Arc::clone(totals),
-            queue_wait: None,
-            gate: None,
-        }
-    }
-
-    /// Publish → claim → park → shutdown on a real `ShardPool` with a real
-    /// (single-worker) session: across every schedule, both queued jobs are
-    /// fully answered, the caller's latch releases, and `begin_shutdown` +
-    /// `join` terminate — no lost wakeup, no overwritten job, no worker
-    /// sleeping through its own shutdown.
-    #[test]
-    fn model_pool_publish_claim_park_shutdown() {
-        let report = xwq_verify::check("shard-pool-lifecycle", cfg(), || {
-            let session = tiny_session();
-            let pool = ShardPool::new(0);
-            pool.ensure_workers(1, &session);
-            let out: ResultSlots = Arc::new(Mutex::new(vec![None, None]));
-            let pending = Arc::new((Mutex::new(2usize), Condvar::new()));
-            let totals = Arc::new(Mutex::new(EvalStats::default()));
-            // Two outstanding jobs: with a single job *slot* instead of the
-            // queue, one publish would overwrite the other and strand the
-            // latch in some schedule.
-            pool.publish(shard_job(0, "d0", &out, &pending, &totals));
-            pool.publish(shard_job(1, "d1", &out, &pending, &totals));
-            let (left, cv) = &*pending;
-            let mut left = left.lock().unwrap();
-            while *left > 0 {
-                left = cv.wait(left).unwrap();
-            }
-            drop(left);
-            {
-                let slots = out.lock().unwrap();
-                let n0 = slots[0].as_ref().unwrap().as_ref().unwrap().nodes.len();
-                let n1 = slots[1].as_ref().unwrap().as_ref().unwrap().nodes.len();
-                assert_eq!((n0, n1), (2, 1), "every document answered correctly");
-            }
-            pool.begin_shutdown();
-            pool.join();
-        });
-        // A floor on the explored-schedule count: if the cfg wiring ever
-        // degrades the shims to passthrough, exploration collapses to one
-        // schedule and this catches it.
-        assert!(report.schedules > 50, "exploration collapsed: {report:?}");
-        assert!(report.complete, "schedule tree exhausted: {report:?}");
     }
 
     /// FIFO admission under every interleaving: two callers race for

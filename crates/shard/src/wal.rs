@@ -42,7 +42,7 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use xwq_store::payload_checksum;
+use xwq_store::{atomic_write, fsync_dir, payload_checksum};
 
 /// The log file name inside a corpus directory.
 pub const WAL_FILE: &str = "MANIFEST.wal";
@@ -309,20 +309,6 @@ pub fn scan(bytes: &[u8]) -> Result<WalScan, WalError> {
     Ok(out)
 }
 
-/// fsyncs a directory so a rename or file creation inside it is durable.
-/// No-op on platforms where directories cannot be opened (non-unix).
-pub fn fsync_dir(dir: &Path) -> io::Result<()> {
-    #[cfg(unix)]
-    {
-        File::open(dir)?.sync_all()
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = dir;
-        Ok(())
-    }
-}
-
 /// Where a [`FaultPlan`] kills the commit path. Test/CI-only: installing
 /// one makes exactly one class of I/O fail the way a power cut would.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -404,9 +390,14 @@ impl FaultPlan {
         self.point == FailPoint::WalSync
     }
 
-    /// True when the staged-artifact `sync_data` must fail.
-    pub fn stage_sync_fails(&self) -> bool {
-        self.point == FailPoint::StageSync
+    /// The staged-artifact sync point, checked after the staged write:
+    /// `Err` under [`FailPoint::StageSync`], standing in for a failed
+    /// `sync_data`.
+    pub fn check_stage_sync(&self) -> io::Result<()> {
+        if self.point == FailPoint::StageSync {
+            return Err(injected("staged artifact sync_data failed"));
+        }
+        Ok(())
     }
 
     fn dir_sync_fails(&self) -> bool {
@@ -538,35 +529,6 @@ pub fn reset(dir: &Path, next_gen: u64) -> Result<(), WalError> {
     );
     atomic_write(dir, WAL_FILE, &bytes)?;
     Ok(())
-}
-
-/// Durably replaces `dir/name` via stage + rename: write the bytes to a
-/// temporary sibling, `sync_data` it, rename over the target, fsync the
-/// directory. Used by the WAL reset and the atomic manifest writer.
-pub fn atomic_write(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
-    let staged = dir.join(format!(".stage.{name}"));
-    let target = dir.join(name);
-    let mut f = File::create(&staged)?;
-    f.write_all(bytes)?;
-    f.sync_data()?;
-    drop(f);
-    if let Err(e) = std::fs::rename(&staged, &target) {
-        let _ = std::fs::remove_file(&staged);
-        return Err(e);
-    }
-    fsync_dir(dir)
-}
-
-/// Durably writes a staged artifact: create, write, `sync_data` — with the
-/// fault plan's stage-sync point honoured. The caller renames after the
-/// WAL record commits.
-pub fn stage_write(path: &Path, bytes: &[u8], plan: Option<&Arc<FaultPlan>>) -> io::Result<()> {
-    let mut f = File::create(path)?;
-    f.write_all(bytes)?;
-    if plan.is_some_and(|p| p.stage_sync_fails()) {
-        return Err(injected("staged artifact sync_data failed"));
-    }
-    f.sync_data()
 }
 
 /// Reads and scans `dir/MANIFEST.wal`; when the tail is torn, truncates

@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use xwq_core::Strategy;
 use xwq_shard::{wal, Corpus, CorpusError, FailPoint, PlacementPolicy, ShardedSession};
@@ -443,6 +443,53 @@ fn pre_replace_guard_serves_the_old_generation_byte_identically() {
     drop(guard);
     assert!(!old_path.exists(), "drained + sealed artifact is reclaimed");
     assert_eq!(corpus.gc().unlinked_total(), 1);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `replace` swaps a document's shard-store entry under one lock: a reader
+/// fanning out over the corpus while its documents are replaced hundreds
+/// of times never finds a placed document missing from its shard.
+#[test]
+fn replace_never_shows_readers_a_missing_document() {
+    let dir = scratch("replace-gap");
+    let corpus =
+        Arc::new(Corpus::open_or_create_dir(&dir, 2, PlacementPolicy::RoundRobin).unwrap());
+    for name in ["a", "b"] {
+        let (doc, index) = build_doc(4);
+        corpus.add_durable(name, doc, index).unwrap();
+    }
+    let session = Arc::new(ShardedSession::new(Arc::clone(&corpus), 1));
+    let done = Arc::new(AtomicBool::new(false));
+    let reader = {
+        let (session, done) = (Arc::clone(&session), Arc::clone(&done));
+        std::thread::spawn(move || {
+            let (mut fan_outs, mut missing) = (0u64, Vec::new());
+            while !done.load(Ordering::SeqCst) {
+                for o in session.query_corpus("/r", Strategy::Auto).unwrap() {
+                    if let Err(e) = o.result {
+                        missing.push(format!("{}: {e}", o.doc));
+                    }
+                }
+                fan_outs += 1;
+            }
+            (fan_outs, missing)
+        })
+    };
+    // Documents big enough that building and dropping one takes a while:
+    // the window a remove-then-insert swap would leave open.
+    for round in 0..240 {
+        let (doc, index) = build_doc(4_000 + round % 5);
+        corpus.replace(["a", "b"][round % 2], doc, index).unwrap();
+    }
+    done.store(true, Ordering::SeqCst);
+    let (fan_outs, missing) = reader.join().unwrap();
+    assert!(fan_outs > 0);
+    assert!(
+        missing.is_empty(),
+        "{} failed outcomes: {missing:?}",
+        missing.len()
+    );
+    drop(session);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

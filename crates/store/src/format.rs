@@ -399,26 +399,6 @@ pub fn write_index_file(
     Ok(())
 }
 
-/// [`write_index_file`] with a durability barrier: the bytes are flushed
-/// to stable storage (`sync_data`) before returning, so a crash after
-/// this call cannot leave a torn or empty artifact behind a name that
-/// looks complete. This is the staged-artifact write the corpus WAL
-/// commit protocol builds on — callers stage under a temporary name,
-/// durably write, commit their log record, and only then rename.
-/// (Renaming and fsyncing the parent directory is the caller's job: this
-/// function makes the *content* durable, not the name.)
-pub fn write_index_file_durable(
-    path: impl AsRef<Path>,
-    doc: &Document,
-    index: &TreeIndex,
-) -> Result<(), FormatError> {
-    let bytes = serialize(doc, index)?;
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(&bytes)?;
-    f.sync_data()?;
-    Ok(())
-}
-
 /// Reads a `.xwqi` file back into a document and its index, copying every
 /// array into owned storage.
 pub fn read_index_file(path: impl AsRef<Path>) -> Result<(Document, TreeIndex), FormatError> {

@@ -33,6 +33,11 @@
 //!   [`Session::query_many`] entry points, and cache observability via
 //!   [`Session::cache_stats`].
 //!
+//! * **[`pool::Pool`]** — the one worker pool of the serving tier (batch
+//!   workers here, pinned shard workers in `xwq-shard`, connection
+//!   handlers in `xwq-serve`), with the batch [`pool::Latch`] the query
+//!   fan-outs build on.
+//!
 //! The `xwq` CLI exposes this layer as `xwq index`, `xwq query --index`
 //! and `xwq batch`; see the workspace README for the end-to-end tour and
 //! `benches/store_load.rs` in `xwq-bench` for the cold-load vs re-parse
@@ -70,20 +75,22 @@
 //! ```
 
 mod bytes;
+mod durable;
 mod format;
 mod lru;
 mod plans;
+pub mod pool;
 mod session;
 mod store;
 pub mod sync;
 mod wire;
 
 pub use bytes::IndexBytes;
+pub use durable::{atomic_write, fsync_dir, write_synced};
 pub use format::{
     deserialize, deserialize_shared, deserialize_shared_trusted, read_index_file,
     read_index_file_mmap, read_index_file_mmap_trusted, serialize, serialize_version,
-    write_index_file, write_index_file_durable, FormatError, HEADER_LEN, MAGIC, MIN_VERSION,
-    VERSION,
+    write_index_file, FormatError, HEADER_LEN, MAGIC, MIN_VERSION, VERSION,
 };
 pub use lru::LruCache;
 pub use plans::{

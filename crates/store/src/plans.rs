@@ -28,14 +28,14 @@
 //! revalidates against the live index at install time
 //! ([`xwq_core::Engine::install_program`]).
 //!
-//! Writes are staged (`<name>.tmp` sibling, `sync_data`, rename), so a
-//! crash mid-write cannot leave a torn sidecar behind the real name —
-//! at worst the old or no sidecar survives, both of which just mean a
-//! cold start.
+//! Writes go through [`crate::atomic_write`] (staged sibling, `sync_data`,
+//! rename, directory fsync), so a crash mid-write cannot leave a torn
+//! sidecar behind the real name — at worst the old or no sidecar
+//! survives, both of which just mean a cold start.
 
 use crate::format::FormatError;
 use crate::wire::checksum;
-use std::io::{Read, Write};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use xwq_core::Strategy;
@@ -220,18 +220,20 @@ pub fn deserialize_plans(bytes: &[u8]) -> Result<PlanSet, FormatError> {
     })
 }
 
-/// Writes a sidecar durably and atomically: staged under `<path>.tmp`,
-/// synced, then renamed over `path`.
+/// Writes a sidecar durably and atomically (see [`crate::atomic_write`]).
 pub fn write_plans_file_durable(path: impl AsRef<Path>, set: &PlanSet) -> Result<(), FormatError> {
     let path = path.as_ref();
-    let bytes = serialize_plans(set);
-    let tmp = path.with_extension("xwqp.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_data()?;
-    }
-    std::fs::rename(&tmp, path)?;
+    let name = path.file_name().and_then(|n| n.to_str()).ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "sidecar path has no UTF-8 file name",
+        )
+    })?;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    crate::atomic_write(dir, name, &serialize_plans(set))?;
     Ok(())
 }
 

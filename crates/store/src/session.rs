@@ -10,23 +10,22 @@
 //! `Arc`-shared either way.
 //!
 //! [`Session::query_many`] additionally parallelizes *within* one batch on
-//! a **persistent worker pool**: long-lived `std::thread` workers (spawned
-//! lazily on the first parallel batch, no external dependencies) park on a
-//! condvar between batches and claim requests from a shared atomic work
-//! cursor — load balance is per-request, and the per-batch cost is a
-//! wake-up instead of a thread spawn. Each worker owns one
-//! [`EvalScratch`] for its whole lifetime, so the document-sized visited
-//! bitset and the spine executor's memo tables are reused across batches,
-//! not just within one. Results come back in request order; the calling
-//! thread works the batch too, so progress never depends on the pool.
+//! a persistent [`Pool`]: long-lived workers (spawned lazily on the first
+//! parallel batch) park between batches and claim requests from the
+//! batch's shared [`Cursor`] — load balance is per-request, and the
+//! per-batch cost is a wake-up instead of a thread spawn. Each worker owns
+//! one [`EvalScratch`] for its whole lifetime, so the document-sized
+//! visited bitset and the spine executor's memo tables are reused across
+//! batches, not just within one. Results come back in request order; the
+//! calling thread works the batch too, so progress never depends on the
+//! pool.
 
 use crate::lru::LruCache;
 use crate::plans::{
     peek_index_checksum, plans_sidecar_path, write_plans_file_durable, PlanEntry, PlanSet,
 };
-use crate::sync::{
-    thread as sync_thread, AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering,
-};
+use crate::pool::{Cursor, Latch, Pool};
+use crate::sync::{Mutex, Ordering};
 use crate::{DocumentStore, FormatError, StoredDocument};
 use std::fmt;
 use std::path::Path;
@@ -149,7 +148,7 @@ type CacheKey = (String, u64, String, Strategy);
 /// A serving session over a shared [`DocumentStore`].
 pub struct Session {
     inner: Arc<SessionInner>,
-    pool: WorkerPool,
+    pool: Pool<Arc<Batch>>,
 }
 
 /// Pre-resolved telemetry handles: set once via
@@ -199,7 +198,7 @@ impl Session {
                 evictions: StdAtomicU64::new(0),
                 telemetry: OnceLock::new(),
             }),
-            pool: WorkerPool::new(),
+            pool: Pool::new(),
         }
     }
 
@@ -335,25 +334,24 @@ impl Session {
         // The workers need owned requests (they outlive this call's
         // borrows); cloning a batch of strings is far cheaper than the
         // per-batch thread spawns this pool replaces.
-        let job = Job {
-            id: self.pool.next_job_id(),
-            requests: Arc::new(requests.to_vec()),
-            cursor: Arc::new(AtomicUsize::new(0)),
-            participants: Arc::new(AtomicUsize::new(0)),
-            limit: threads,
-            out: Arc::new(Mutex::new((0..requests.len()).map(|_| None).collect())),
-            pending: Arc::new((Mutex::new(requests.len()), Condvar::new())),
-            totals: Arc::new(Mutex::new(EvalStats::default())),
-        };
-        // The caller is participant #0; the pool contributes the rest.
-        job.participants.fetch_add(1, Ordering::Relaxed);
-        self.pool.ensure_workers(threads - 1, &self.inner);
-        self.pool.publish(job.clone());
-        let mut scratch = EvalScratch::new();
-        self.inner.run_job_items(&job, &mut scratch);
-        job.wait_done();
-        let totals = *job.totals.lock().expect("batch totals poisoned");
-        let mut out = job.out.lock().expect("batch results poisoned");
+        let batch = Arc::new(Batch {
+            requests: requests.to_vec(),
+            cursor: Cursor::new(requests.len()),
+            out: Mutex::new((0..requests.len()).map(|_| None).collect()),
+            latch: Latch::new(requests.len(), false),
+        });
+        // The caller works the batch too; up to `threads - 1` pool workers
+        // join it, one per queued handle.
+        let inner = Arc::clone(&self.inner);
+        self.pool.grow(
+            threads - 1,
+            |w| format!("xwq-session-w{w}"),
+            move |scratch: &mut EvalScratch, batch: Arc<Batch>| inner.work(&batch, scratch),
+        );
+        self.pool.push_n(Arc::clone(&batch), threads - 1);
+        self.inner.work(&batch, &mut EvalScratch::new());
+        let totals = batch.latch.wait();
+        let mut out = batch.out.lock().expect("batch results poisoned");
         let results = out
             .iter_mut()
             .map(|slot| slot.take().expect("every request answered exactly once"))
@@ -425,7 +423,7 @@ impl Session {
 
     /// Number of live pool workers (observability / tests).
     pub fn pool_workers(&self) -> usize {
-        self.pool.worker_count()
+        self.pool.workers()
     }
 }
 
@@ -536,197 +534,27 @@ impl SessionInner {
         })
     }
 
-    /// Claims and answers batch items until the cursor is exhausted,
-    /// accumulating the stats of the items *this thread* answered and
-    /// merging them into the batch totals exactly once, at the end.
-    fn run_job_items(&self, job: &Job, scratch: &mut EvalScratch) {
-        /// Decrements the pending count exactly once per claimed item —
-        /// on the normal path *and* during unwinding, so a panic inside
-        /// evaluation can never leave `wait_done` blocked forever (the
-        /// unanswered slot then fails the caller's "every request
-        /// answered" check, surfacing the panic instead of a deadlock).
-        struct PendingGuard<'a>(&'a (Mutex<usize>, Condvar));
-        impl Drop for PendingGuard<'_> {
-            fn drop(&mut self) {
-                let (left, cv) = self.0;
-                let mut left = left.lock().expect("batch pending poisoned");
-                *left -= 1;
-                if *left == 0 {
-                    cv.notify_all();
-                }
-            }
-        }
-        let mut local = EvalStats::default();
-        // An item's decrement is deferred until the *next* claim (or the
-        // final merge below): `wait_done` must not return before this
-        // thread's stats are folded into the totals, so the last answered
-        // item may only tick the latch after the merge. A panic drops the
-        // in-flight guard and still decrements every claimed item once.
-        let mut answered: Option<PendingGuard> = None;
-        loop {
-            // Relaxed (audit note): claim uniqueness comes from `fetch_add`'s
-            // total modification order alone; the request slice itself is
-            // published to workers by the `job` mutex hand-off, not by this
-            // cursor.
-            let i = job.cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= job.requests.len() {
-                if local != EvalStats::default() {
-                    job.totals
-                        .lock()
-                        .expect("batch totals poisoned")
-                        .accumulate(&local);
-                }
-                drop(answered);
-                return;
-            }
-            drop(answered.replace(PendingGuard(&job.pending)));
-            let r = &job.requests[i];
+    /// Works `batch` on this thread: claims requests from its cursor and
+    /// answers each into its result slot (see [`Latch::work`]).
+    fn work(&self, batch: &Batch, scratch: &mut EvalScratch) {
+        batch.latch.work(&batch.cursor, scratch, |i, scratch| {
+            let r = &batch.requests[i];
             let result = self.query_with_scratch(&r.document, &r.query, r.strategy, scratch);
-            if let Ok(resp) = &result {
-                local.accumulate(&resp.stats);
-            }
-            job.out.lock().expect("batch results poisoned")[i] = Some(result);
-        }
+            let stats = result.as_ref().map(|resp| resp.stats).unwrap_or_default();
+            batch.out.lock().expect("batch results poisoned")[i] = Some(result);
+            stats
+        });
     }
 }
 
-/// Batch result slots, filled in request order.
-type BatchResults = Vec<Option<Result<QueryResponse, SessionError>>>;
-
-/// One published batch. Workers clone the whole job out of the slot, so a
-/// later batch overwriting the slot never disturbs a running one.
-#[derive(Clone)]
-struct Job {
-    id: u64,
-    requests: Arc<Vec<QueryRequest>>,
-    cursor: Arc<AtomicUsize>,
-    /// Threads that joined this batch (the caller counts as one).
-    participants: Arc<AtomicUsize>,
-    /// Maximum participants (`--threads`); extra workers sit the batch out
-    /// so an explicit thread count stays an upper bound.
-    limit: usize,
-    out: Arc<Mutex<BatchResults>>,
-    /// `(items not yet answered, completion signal)`.
-    pending: Arc<(Mutex<usize>, Condvar)>,
-    /// Batch-wide evaluation totals; each participant folds its local
-    /// accumulation in once (see [`SessionInner::run_job_items`]).
-    totals: Arc<Mutex<EvalStats>>,
-}
-
-impl Job {
-    fn wait_done(&self) {
-        let (left, cv) = &*self.pending;
-        let mut left = left.lock().expect("batch pending poisoned");
-        while *left > 0 {
-            left = cv.wait(left).expect("batch pending poisoned");
-        }
-    }
-}
-
-/// The persistent worker pool: a job slot + condvar the workers park on.
-struct WorkerPool {
-    shared: Arc<PoolShared>,
-    workers: Mutex<Vec<sync_thread::JoinHandle<()>>>,
-    next_job: AtomicU64,
-}
-
-struct PoolShared {
-    /// The latest published job (stale completed jobs linger harmlessly —
-    /// workers track the last job id they joined).
-    job: Mutex<Option<Job>>,
-    work_cv: Condvar,
-    shutdown: AtomicBool,
-}
-
-impl WorkerPool {
-    fn new() -> Self {
-        Self {
-            shared: Arc::new(PoolShared {
-                job: Mutex::new(None),
-                work_cv: Condvar::new(),
-                shutdown: AtomicBool::new(false),
-            }),
-            workers: Mutex::new(Vec::new()),
-            next_job: AtomicU64::new(1),
-        }
-    }
-
-    fn next_job_id(&self) -> u64 {
-        // Relaxed (audit note): only uniqueness and per-publisher monotonicity
-        // matter; workers compare ids against the slot contents they read
-        // under the `job` mutex.
-        self.next_job.fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn worker_count(&self) -> usize {
-        self.workers.lock().expect("pool workers poisoned").len()
-    }
-
-    /// Grows the pool to at least `want` workers (lazily: a session that
-    /// only ever serves serially spawns none).
-    fn ensure_workers(&self, want: usize, inner: &Arc<SessionInner>) {
-        let mut workers = self.workers.lock().expect("pool workers poisoned");
-        while workers.len() < want {
-            let shared = Arc::clone(&self.shared);
-            let inner = Arc::clone(inner);
-            workers.push(sync_thread::spawn(move || worker_loop(shared, inner)));
-        }
-    }
-
-    fn publish(&self, job: Job) {
-        let mut slot = self.shared.job.lock().expect("pool job poisoned");
-        *slot = Some(job);
-        drop(slot);
-        self.shared.work_cv.notify_all();
-    }
-}
-
-fn worker_loop(shared: Arc<PoolShared>, inner: Arc<SessionInner>) {
-    // The worker-lifetime scratch: visited bitsets and spine memo tables
-    // are reused across *batches*, not just within one.
-    let mut scratch = EvalScratch::new();
-    let mut last_job = 0u64;
-    loop {
-        let job = {
-            let mut slot = shared.job.lock().expect("pool job poisoned");
-            loop {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                match &*slot {
-                    Some(job) if job.id > last_job => break job.clone(),
-                    _ => slot = shared.work_cv.wait(slot).expect("pool job poisoned"),
-                }
-            }
-        };
-        last_job = job.id;
-        // Respect the batch's thread limit: latecomers beyond it (the
-        // caller already counted itself) sit this one out. Relaxed (audit
-        // note): admission only needs the counter's total modification
-        // order; all job state was already acquired via the slot mutex.
-        if job.participants.fetch_add(1, Ordering::Relaxed) >= job.limit {
-            continue;
-        }
-        inner.run_job_items(&job, &mut scratch);
-    }
-}
-
-impl Drop for Session {
-    fn drop(&mut self) {
-        // Set the flag while holding the job mutex: workers check
-        // `shutdown` and park under this same mutex, so a lock-free store
-        // could land in the gap between a worker's check and its park —
-        // the notify would hit nobody and that worker would sleep through
-        // its own shutdown, hanging the join below.
-        let slot = self.pool.shared.job.lock().expect("pool job poisoned");
-        self.pool.shared.shutdown.store(true, Ordering::Release);
-        drop(slot);
-        self.pool.shared.work_cv.notify_all();
-        let workers = std::mem::take(&mut *self.pool.workers.lock().expect("pool poisoned"));
-        for w in workers {
-            let _ = w.join();
-        }
-    }
+/// One parallel [`Session::query_many`] batch, shared by the caller and
+/// every pool worker holding one of its handles.
+struct Batch {
+    requests: Vec<QueryRequest>,
+    cursor: Cursor,
+    /// Result slots, filled in request order.
+    out: Mutex<Vec<Option<Result<QueryResponse, SessionError>>>>,
+    latch: Latch,
 }
 
 impl fmt::Debug for Session {

@@ -142,12 +142,16 @@ impl DocumentStore {
         Self::default()
     }
 
+    /// Builds the entry outside the lock, then inserts it under one write
+    /// lock: a new name when `replace` is false, a swap of an existing one
+    /// when it is true.
     fn register(
         &self,
         name: &str,
         doc: Document,
         index: TreeIndex,
         plans: Option<Arc<PlanSet>>,
+        replace: bool,
     ) -> Result<Arc<StoredDocument>, StoreError> {
         let stored = Arc::new(StoredDocument {
             name: name.to_string(),
@@ -157,11 +161,14 @@ impl DocumentStore {
             plans,
         });
         let mut docs = self.docs.write().expect("store lock poisoned");
-        if docs.contains_key(name) {
-            return Err(StoreError::DuplicateName(name.to_string()));
+        match (docs.contains_key(name), replace) {
+            (true, false) => Err(StoreError::DuplicateName(name.to_string())),
+            (false, true) => Err(StoreError::NotFound(name.to_string())),
+            _ => {
+                docs.insert(name.to_string(), Arc::clone(&stored));
+                Ok(stored)
+            }
         }
-        docs.insert(name.to_string(), Arc::clone(&stored));
-        Ok(stored)
     }
 
     /// Indexes a parsed document and registers it under `name`.
@@ -172,7 +179,7 @@ impl DocumentStore {
         topology: TopologyKind,
     ) -> Result<Arc<StoredDocument>, StoreError> {
         let index = TreeIndex::build_with(&doc, topology);
-        self.register(name, doc, index, None)
+        self.register(name, doc, index, None, false)
     }
 
     /// Registers a document with an index that was already built over it
@@ -183,7 +190,20 @@ impl DocumentStore {
         doc: Document,
         index: TreeIndex,
     ) -> Result<Arc<StoredDocument>, StoreError> {
-        self.register(name, doc, index, None)
+        self.register(name, doc, index, None, false)
+    }
+
+    /// Swaps the document registered under `name` for a new build under one
+    /// write lock, so a concurrent [`Self::get`] sees the old entry or the
+    /// new one, never neither. In-flight queries holding the old `Arc`
+    /// finish unaffected; the new entry gets a fresh generation.
+    pub fn replace_prebuilt(
+        &self,
+        name: &str,
+        doc: Document,
+        index: TreeIndex,
+    ) -> Result<Arc<StoredDocument>, StoreError> {
+        self.register(name, doc, index, None, true)
     }
 
     /// [`Self::insert_prebuilt`] carrying warm compiled plans (e.g. a
@@ -197,7 +217,7 @@ impl DocumentStore {
         index: TreeIndex,
         plans: Option<Arc<PlanSet>>,
     ) -> Result<Arc<StoredDocument>, StoreError> {
-        self.register(name, doc, index, plans)
+        self.register(name, doc, index, plans, false)
     }
 
     /// Parses XML text, indexes it, and registers it under `name`.
@@ -220,7 +240,7 @@ impl DocumentStore {
     ) -> Result<Arc<StoredDocument>, StoreError> {
         let plans = load_sidecar_plans(path.as_ref());
         let (doc, index) = read_index_file(path)?;
-        self.register(name, doc, index, plans)
+        self.register(name, doc, index, plans, false)
     }
 
     /// Memory-maps a persisted `.xwqi` file and registers it under `name`:
@@ -237,7 +257,7 @@ impl DocumentStore {
     ) -> Result<Arc<StoredDocument>, StoreError> {
         let plans = load_sidecar_plans(path.as_ref());
         let (doc, index) = crate::read_index_file_mmap(path)?;
-        self.register(name, doc, index, plans)
+        self.register(name, doc, index, plans, false)
     }
 
     /// [`Self::open_mmap`] for **trusted local files**: skips the payload
@@ -254,7 +274,7 @@ impl DocumentStore {
     ) -> Result<Arc<StoredDocument>, StoreError> {
         let plans = load_sidecar_plans(path.as_ref());
         let (doc, index) = crate::read_index_file_mmap_trusted(path)?;
-        self.register(name, doc, index, plans)
+        self.register(name, doc, index, plans, false)
     }
 
     /// Parses and indexes an XML file and registers it under `name`.

@@ -1,7 +1,7 @@
 //! `xwq-verify` — a dependency-free, loom-style concurrency model checker.
 //!
 //! The serving tier rests on three hand-rolled concurrency cores: the
-//! condvar-parked per-shard worker pools, the ticketed-FIFO admission gate
+//! condvar-parked worker pool, the ticketed-FIFO admission gate
 //! with timeout tombstones, and the epoch-based artifact GC. Stress tests
 //! sample a handful of schedules per run and miss rare interleavings — the
 //! PR 5 park/notify shutdown hang shipped and survived a week of CI exactly
@@ -17,9 +17,9 @@
 //! * [`sync`] / [`thread`] — drop-in shims for the `std::sync` and
 //!   `std::thread` subset the serving tier uses. Outside a model execution
 //!   they pass straight through to `std`, so a `--cfg model` build of the
-//!   workspace still runs its ordinary test suite unchanged; `crates/shard`
-//!   and `crates/store` re-export them from `crate::sync` under `--cfg model`
-//!   and plain `std::sync` otherwise.
+//!   workspace still runs its ordinary test suite unchanged; `xwq_store::sync`
+//!   re-exports them under `--cfg model` and plain `std::sync` otherwise, for
+//!   itself and for `crates/shard` and `crates/serve`.
 //!
 //! ```
 //! use xwq_verify::{check, Config};

@@ -4,9 +4,9 @@
 //! `AtomicBool` and calling `notify_all()` *without holding the queue mutex*.
 //! A worker that had just checked the flag (false) inside its critical
 //! section — but not yet parked on the condvar — missed the notify and slept
-//! forever; `Session::drop` then hung joining it. The fix (still in
-//! `xwq_shard::session::ShardPool::begin_shutdown` today) flips the flag
-//! while holding the queue mutex, closing the check→wait window.
+//! forever; `Session::drop` then hung joining it. The fix flips the flag
+//! while holding the queue mutex, closing the check→wait window; today
+//! `xwq_store::pool::Pool` keeps the flag inside that mutex outright.
 //!
 //! This test re-introduces the old logic in a faithful copy of the pool's
 //! state machine and proves the model checker finds the hang — with a
@@ -38,9 +38,8 @@ impl PoolShared {
     }
 }
 
-/// The worker park loop, structured exactly like
-/// `xwq_shard::session::worker_loop`: claim under the lock, re-check the
-/// shutdown flag, park on the condvar otherwise.
+/// The worker park loop as the shard pool had it: claim under the lock,
+/// re-check the shutdown flag, park on the condvar otherwise.
 fn worker_loop(shared: &PoolShared, drained: &Mutex<Vec<u32>>) {
     let mut jobs = shared.jobs.lock().expect("pool lock");
     loop {

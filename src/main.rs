@@ -1163,9 +1163,13 @@ fn cmd_corpus_build(args: &[String]) -> ExitCode {
         };
         let index = xwq::index::TreeIndex::build_with(&doc, topology);
         let artifact = format!("{name}.xwqi");
-        if let Err(e) =
-            xwq::store::write_index_file_durable(Path::new(out_dir).join(&artifact), &doc, &index)
-        {
+        let written = xwq::store::serialize(&doc, &index).and_then(|bytes| {
+            Ok(xwq::store::write_synced(
+                &Path::new(out_dir).join(&artifact),
+                &bytes,
+            )?)
+        });
+        if let Err(e) = written {
             return fail(format!("{artifact}: {e}"));
         }
         if let Err(e) = manifest.push(name, &artifact, doc.len()) {
