@@ -1,7 +1,7 @@
 //! Alternating selecting tree automata (Def. 4.1) and formula evaluation
 //! (Fig. 7).
 
-use crate::results::{NodeList, ResultSet};
+use crate::results::{NodeList, ResultArena, ResultSet};
 use std::sync::Arc;
 use xwq_index::NodeId;
 use xwq_xml::{LabelId, LabelSet};
@@ -101,41 +101,42 @@ impl Formula {
     }
 
     /// Evaluates under result sets of the two children (the inference rules
-    /// of Fig. 7), returning the truth value and the collected node list.
-    pub fn eval(&self, g1: &ResultSet, g2: &ResultSet) -> (bool, NodeList) {
+    /// of Fig. 7), returning the truth value and the collected node list
+    /// (built in `arena`, which holds `g1` and `g2`).
+    pub fn eval(&self, g1: ResultSet, g2: ResultSet, arena: &mut ResultArena) -> (bool, NodeList) {
         match self {
-            Formula::True => (true, NodeList::empty()),
-            Formula::False => (false, NodeList::empty()),
+            Formula::True => (true, NodeList::EMPTY),
+            Formula::False => (false, NodeList::EMPTY),
             Formula::Not(a) => {
-                let (b, _) = a.eval(g1, g2);
-                (!b, NodeList::empty())
+                let (b, _) = a.eval(g1, g2, arena);
+                (!b, NodeList::EMPTY)
             }
             Formula::Or(a, b) => {
-                let (b1, r1) = a.eval(g1, g2);
-                let (b2, r2) = b.eval(g1, g2);
+                let (b1, r1) = a.eval(g1, g2, arena);
+                let (b2, r2) = b.eval(g1, g2, arena);
                 match (b1, b2) {
-                    (true, true) => (true, r1.concat(&r2)),
+                    (true, true) => (true, arena.concat(r1, r2)),
                     (true, false) => (true, r1),
                     (false, true) => (true, r2),
-                    (false, false) => (false, NodeList::empty()),
+                    (false, false) => (false, NodeList::EMPTY),
                 }
             }
             Formula::And(a, b) => {
-                let (b1, r1) = a.eval(g1, g2);
-                let (b2, r2) = b.eval(g1, g2);
+                let (b1, r1) = a.eval(g1, g2, arena);
+                let (b2, r2) = b.eval(g1, g2, arena);
                 if b1 && b2 {
-                    (true, r1.concat(&r2))
+                    (true, arena.concat(r1, r2))
                 } else {
-                    (false, NodeList::empty())
+                    (false, NodeList::EMPTY)
                 }
             }
-            Formula::Down1(q) => match g1.get(*q) {
-                Some(l) => (true, l.clone()),
-                None => (false, NodeList::empty()),
+            Formula::Down1(q) => match arena.get(g1, *q) {
+                Some(l) => (true, l),
+                None => (false, NodeList::EMPTY),
             },
-            Formula::Down2(q) => match g2.get(*q) {
-                Some(l) => (true, l.clone()),
-                None => (false, NodeList::empty()),
+            Formula::Down2(q) => match arena.get(g2, *q) {
+                Some(l) => (true, l),
+                None => (false, NodeList::EMPTY),
             },
         }
     }
@@ -446,62 +447,69 @@ mod tests {
         Formula::Down2(q)
     }
 
-    fn gamma(states: &[(StateId, &[NodeId])]) -> ResultSet {
-        let mut g = ResultSet::empty();
+    fn gamma(a: &mut ResultArena, states: &[(StateId, &[NodeId])]) -> ResultSet {
+        let m = a.mark();
         for (q, nodes) in states {
-            let mut l = NodeList::empty();
+            let mut l = NodeList::EMPTY;
             for &n in *nodes {
-                l = l.concat(&NodeList::leaf(n));
+                let leaf = a.leaf(n);
+                l = a.concat(l, leaf);
             }
-            g.add(*q, l);
+            a.accept(*q, l);
         }
-        g
+        a.finish(m)
     }
+
+    const NONE_SET: ResultSet = ResultSet::EMPTY;
 
     #[test]
     fn figure7_or_unions_both_true_sides() {
-        let g1 = gamma(&[(0, &[10])]);
-        let g2 = gamma(&[(0, &[20])]);
+        let a = &mut ResultArena::new(8);
+        let g1 = gamma(a, &[(0, &[10])]);
+        let g2 = gamma(a, &[(0, &[20])]);
         let phi = Formula::or(d1(0), d2(0));
-        let (b, l) = phi.eval(&g1, &g2);
+        let (b, l) = phi.eval(g1, g2, a);
         assert!(b);
-        assert_eq!(l.to_sorted_set(), vec![10, 20]);
+        assert_eq!(a.to_sorted_set(l), vec![10, 20]);
         // One side false: only the true side's list.
-        let (b, l) = phi.eval(&g1, &ResultSet::empty());
+        let (b, l) = phi.eval(g1, NONE_SET, a);
         assert!(b);
-        assert_eq!(l.to_vec(), vec![10]);
+        assert_eq!(a.to_vec(l), vec![10]);
     }
 
     #[test]
     fn figure7_and_requires_both() {
-        let g1 = gamma(&[(0, &[10])]);
+        let a = &mut ResultArena::new(8);
+        let g1 = gamma(a, &[(0, &[10])]);
         let phi = Formula::and(d1(0), d2(1));
-        let (b, l) = phi.eval(&g1, &ResultSet::empty());
+        let (b, l) = phi.eval(g1, NONE_SET, a);
         assert!(!b);
         assert!(l.is_empty());
-        let g2 = gamma(&[(1, &[30])]);
-        let (b, l) = phi.eval(&g1, &g2);
+        let g2 = gamma(a, &[(1, &[30])]);
+        let (b, l) = phi.eval(g1, g2, a);
         assert!(b);
-        assert_eq!(l.to_sorted_set(), vec![10, 30]);
+        assert_eq!(a.to_sorted_set(l), vec![10, 30]);
     }
 
     #[test]
     fn figure7_not_discards_marks() {
-        let g1 = gamma(&[(0, &[10])]);
+        let a = &mut ResultArena::new(8);
+        let g1 = gamma(a, &[(0, &[10])]);
         let phi = Formula::not(d1(0));
-        let (b, l) = phi.eval(&g1, &ResultSet::empty());
+        let (b, l) = phi.eval(g1, NONE_SET, a);
         assert!(!b);
         assert!(l.is_empty());
         let phi = Formula::not(d1(5));
-        let (b, l) = phi.eval(&g1, &ResultSet::empty());
+        let (b, l) = phi.eval(g1, NONE_SET, a);
         assert!(b, "¬ of unaccepted state is true");
         assert!(l.is_empty(), "the (not) rule returns an empty set");
     }
 
     #[test]
     fn accepted_with_empty_list_is_true() {
-        let g1 = gamma(&[(2, &[])]);
-        let (b, l) = d1(2).eval(&g1, &ResultSet::empty());
+        let a = &mut ResultArena::new(8);
+        let g1 = gamma(a, &[(2, &[])]);
+        let (b, l) = d1(2).eval(g1, NONE_SET, a);
         assert!(b);
         assert!(l.is_empty());
     }

@@ -1,8 +1,10 @@
 //! Dense two-tier caches for the determinization hot loop.
 //!
-//! Every node visit looks up `(state set, label)`-keyed memo tables. Set
-//! ids are interned densely from 0 and real workloads concentrate on the
-//! first few dozen sets, so hashing a tuple per visit is pure overhead:
+//! Every node visit looks up the `(state set, label)`-keyed transition
+//! memo (the formula and residual memos hang off the transition it
+//! returns). Set ids are interned densely from 0 and real workloads
+//! concentrate on the first few dozen sets, so hashing a tuple per visit
+//! is pure overhead:
 //! [`SetLabelCache`] direct-indexes a `set × label` region for the low
 //! set ids that dominate, and only falls back to an `FxHashMap` for the
 //! (rare) sets above the dense budget.
@@ -11,8 +13,8 @@ use crate::sets::SetId;
 use xwq_index::FxHashMap;
 use xwq_xml::LabelId;
 
-/// Upper bound on dense-region entries (`sets × labels`); ~1 MiB of
-/// pointers at the default. The region itself grows lazily by whole
+/// Upper bound on dense-region entries (`sets × labels`); 512 KiB of
+/// `Option<u32>` slots at the default. The region itself grows lazily by whole
 /// set-rows, so small queries allocate only a few rows.
 const DENSE_ENTRY_BUDGET: usize = 1 << 16;
 

@@ -46,7 +46,7 @@ pub use plan::{
     CostEstimate, Descend, Plan, PlanKind, PlanOpLine, PredPlan, Probe, ProbeStep, SpinePlan,
     SpineStep, SpineTest,
 };
-pub use results::{NodeList, ResultSet};
+pub use results::{NodeList, ResultArena, ResultSet};
 pub use sets::SetInterner;
 pub use tda::{SkipKind, Tda};
 pub use xwq_obs::TraceNode;

@@ -44,11 +44,17 @@ impl SetInterner {
 
     /// Interns a sorted, deduplicated vector.
     pub fn intern_sorted(&mut self, states: Vec<StateId>) -> SetId {
+        self.intern_slice(&states)
+    }
+
+    /// Interns a sorted, deduplicated slice; allocates only when the set is
+    /// new.
+    pub fn intern_slice(&mut self, states: &[StateId]) -> SetId {
         debug_assert!(states.windows(2).all(|w| w[0] < w[1]));
-        let key: Box<[StateId]> = states.into_boxed_slice();
-        if let Some(&id) = self.ids.get(&key) {
+        if let Some(&id) = self.ids.get(states) {
             return id;
         }
+        let key: Box<[StateId]> = states.into();
         let id = self.sets.len() as SetId;
         self.ids.insert(key.clone(), id);
         self.sets.push(key);

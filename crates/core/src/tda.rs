@@ -25,8 +25,6 @@ use crate::bits::StateBits;
 use crate::cache::SetLabelCache;
 use crate::eval::EvalStats;
 use crate::sets::{SetId, SetInterner};
-use std::sync::Arc;
-use xwq_index::FxHashMap;
 use xwq_xml::{LabelId, LabelSet};
 
 /// One determinized transition: the active ASTA transitions and the state
@@ -61,22 +59,28 @@ pub struct SkipInfo {
     pub kind: SkipKind,
     /// Labels that must be visited (set-level essential labels).
     pub jump: LabelSet,
+    /// `jump.len()`, compared against the jump-width limit at every visit.
+    pub width: usize,
 }
 
 /// On-the-fly determinization state for one ASTA. Holds no reference to
 /// the automaton — every method takes it as a parameter — so the interner
 /// and memo tables can be pooled per `(document, query)` across runs (the
 /// tables are pure functions of the `(automaton, index)` pair).
+///
+/// Memo hits hand out indices into arenas owned here (or borrows), never
+/// shared pointers, so a hit costs array reads only.
 #[derive(Debug)]
 pub struct Tda {
     /// The state-set interner (id 0 = ∅).
     pub sets: SetInterner,
-    /// `(S, σ)`-keyed transition memo: dense direct-indexed region for the
-    /// low set ids that dominate, hash spill above (no tuple hashing in
-    /// the per-node inner loop).
-    trans_memo: SetLabelCache<Option<Arc<TransEval>>>,
-    trans_memo_entries: usize,
-    skip_memo: FxHashMap<SetId, Arc<SkipInfo>>,
+    /// `(S, σ)`-keyed transition memo holding indices into `trans_arena`:
+    /// dense direct-indexed region for the low set ids that dominate, hash
+    /// spill above (no tuple hashing in the per-node inner loop).
+    trans_memo: SetLabelCache<Option<u32>>,
+    trans_arena: Vec<TransEval>,
+    /// Skip classifications, indexed by [`SetId`].
+    skip_memo: Vec<Option<SkipInfo>>,
     /// Reusable per-call scratch for `compute_trans` (collection is an OR;
     /// dedup/sort are free at intern time).
     scratch_r1: StateBits,
@@ -90,8 +94,8 @@ impl Tda {
         Self {
             sets: SetInterner::new(),
             trans_memo: SetLabelCache::new(asta.alphabet_size),
-            trans_memo_entries: 0,
-            skip_memo: FxHashMap::default(),
+            trans_arena: Vec::new(),
+            skip_memo: Vec::new(),
             scratch_r1: StateBits::with_universe(n),
             scratch_r2: StateBits::with_universe(n),
         }
@@ -104,7 +108,7 @@ impl Tda {
 
     /// Number of memoized `(S, σ)` transitions.
     pub fn trans_memo_len(&self) -> usize {
-        self.trans_memo_entries
+        self.trans_arena.len()
     }
 
     /// Computes `(S, σ) ↦ (active, S₁, S₂)` without memoization.
@@ -128,33 +132,49 @@ impl Tda {
         TransEval { active, r1, r2 }
     }
 
-    /// Memoized variant; ticks `stats.memo_hits` / `stats.memo_misses`.
-    pub fn trans(
-        &mut self,
-        asta: &Asta,
-        set: SetId,
-        label: LabelId,
-        stats: &mut EvalStats,
-    ) -> Arc<TransEval> {
-        if let Some(Some(t)) = self.trans_memo.slot(set, label) {
+    /// Memoized variant: the index of the transition for
+    /// [`Self::trans_at`]; ticks `stats.memo_hits` / `stats.memo_misses`.
+    #[inline]
+    pub fn trans(&mut self, asta: &Asta, set: SetId, label: LabelId, stats: &mut EvalStats) -> u32 {
+        if let Some(&Some(t)) = self.trans_memo.slot(set, label) {
             stats.memo_hits += 1;
-            return t.clone();
+            return t;
         }
-        let t = Arc::new(self.compute_trans(asta, set, label));
-        *self.trans_memo.slot_mut(set, label) = Some(t.clone());
-        self.trans_memo_entries += 1;
+        let t = self.compute_trans(asta, set, label);
+        let i = self.trans_arena.len() as u32;
+        self.trans_arena.push(t);
+        *self.trans_memo.slot_mut(set, label) = Some(i);
         stats.memo_misses += 1;
-        t
+        i
+    }
+
+    /// The memoized transition with index `i` (from [`Self::trans`]).
+    #[inline]
+    pub fn trans_at(&self, i: u32) -> &TransEval {
+        &self.trans_arena[i as usize]
     }
 
     /// Skip classification of `set`, cached.
-    pub fn skip_info(&mut self, asta: &Asta, set: SetId) -> Arc<SkipInfo> {
-        if let Some(s) = self.skip_memo.get(&set) {
-            return s.clone();
+    #[inline]
+    pub fn skip_info(&mut self, asta: &Asta, set: SetId) -> &SkipInfo {
+        let i = set as usize;
+        if self.skip_memo.get(i).is_none_or(|s| s.is_none()) {
+            let info = self.classify(asta, set);
+            if i >= self.skip_memo.len() {
+                self.skip_memo.resize_with(i + 1, || None);
+            }
+            self.skip_memo[i] = Some(info);
         }
-        let info = Arc::new(self.classify(asta, set));
-        self.skip_memo.insert(set, info.clone());
-        info
+        self.skip_at(set)
+    }
+
+    /// The cached classification of `set`; [`Self::skip_info`] must have
+    /// computed it.
+    #[inline]
+    pub fn skip_at(&self, set: SetId) -> &SkipInfo {
+        self.skip_memo[set as usize]
+            .as_ref()
+            .expect("skip_info computes before skip_at reads")
     }
 
     fn classify(&mut self, asta: &Asta, set: SetId) -> SkipInfo {
@@ -277,7 +297,8 @@ impl Tda {
         };
         let mut jump = full;
         jump.subtract(&loops);
-        SkipInfo { kind, jump }
+        let width = jump.len();
+        SkipInfo { kind, jump, width }
     }
 }
 
@@ -315,6 +336,7 @@ mod tests {
         // δa({q0}, a) = ({q0,q1}, {q0}).
         let mut h = EvalStats::default();
         let t = tda.trans(&asta, s0, la, &mut h);
+        let t = tda.trans_at(t);
         let s01 = t.r1;
         assert_eq!(t.r2, s0);
         assert_eq!(tda.sets.get(s01).len(), 2);
@@ -326,6 +348,7 @@ mod tests {
 
         // δa({q0,q1}, b) = ({q0,q1,q2}, {q0,q1}).
         let t = tda.trans(&asta, s01, lb, &mut h);
+        let t = tda.trans_at(t);
         let s012 = t.r1;
         assert_eq!(t.r2, s01);
         assert_eq!(tda.sets.get(s012).len(), 3);
@@ -342,6 +365,7 @@ mod tests {
         // excludes c), so "the automaton returns in state {q0,q1} and can
         // therefore jump to find new b nodes".
         let t = tda.trans(&asta, s012, lc, &mut h);
+        let t = tda.trans_at(t);
         assert_eq!(t.r1, s01);
         assert_eq!(t.r2, s01);
     }
@@ -355,7 +379,7 @@ mod tests {
         let s0 = tda.top_set(&asta);
         let mut h = EvalStats::default();
         let t = tda.trans(&asta, s0, al.lookup("a").unwrap(), &mut h);
-        let chain = t.r1; // the b-chain searcher below a
+        let chain = tda.trans_at(t).r1; // the b-chain searcher below a
         let info = tda.skip_info(&asta, chain);
         assert_eq!(info.kind, SkipKind::Right);
         assert_eq!(
@@ -376,7 +400,7 @@ mod tests {
         let la = al.lookup("a").unwrap();
         let mut h = EvalStats::default();
         let t = tda.trans(&asta, s0, la, &mut h);
-        let below = t.r1;
+        let below = tda.trans_at(t).r1;
         let info = tda.skip_info(&asta, below);
         assert!(
             info.jump.contains(la),
@@ -407,6 +431,7 @@ mod tests {
         let mut tda = Tda::new(&asta);
         let mut h = EvalStats::default();
         let t = tda.trans(&asta, SetInterner::EMPTY, 0, &mut h);
+        let t = tda.trans_at(t);
         assert!(t.active.is_empty());
         assert_eq!(t.r1, SetInterner::EMPTY);
         assert_eq!(t.r2, SetInterner::EMPTY);

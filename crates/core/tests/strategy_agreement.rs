@@ -107,15 +107,31 @@ proptest! {
         );
     }
 
+    /// The topology changes how navigation is computed, never where the
+    /// evaluator goes: every automaton strategy selects the same nodes
+    /// with the same visit, jump and selection counts on both.
     #[test]
     fn succinct_topology_gives_identical_results(doc in arb_doc(), query in arb_query()) {
         let a = Engine::build(&doc);
         let s = Engine::build_with(&doc, xwq_index::TopologyKind::Succinct);
         if let (Ok(qa), Ok(qs)) = (a.compile(&query), s.compile(&query)) {
-            prop_assert_eq!(
-                a.run(&qa, EvalStrategy::Optimized).nodes,
-                s.run(&qs, EvalStrategy::Optimized).nodes
-            );
+            for strategy in [
+                EvalStrategy::Naive,
+                EvalStrategy::Pruning,
+                EvalStrategy::Jumping,
+                EvalStrategy::Memoized,
+                EvalStrategy::Optimized,
+            ] {
+                let (ra, rs) = (a.run(&qa, strategy), s.run(&qs, strategy));
+                prop_assert_eq!(&ra.nodes, &rs.nodes, "{} on {}", strategy.name(), &query);
+                prop_assert_eq!(
+                    (ra.stats.visited, ra.stats.jumps, ra.stats.selected),
+                    (rs.stats.visited, rs.stats.jumps, rs.stats.selected),
+                    "{} on {}",
+                    strategy.name(),
+                    &query
+                );
+            }
         }
     }
 }

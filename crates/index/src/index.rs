@@ -347,12 +347,7 @@ impl TreeIndex {
     /// `v`'s XML subtree plus all following siblings and their subtrees.
     #[inline]
     pub fn bin_subtree_end(&self, v: NodeId) -> NodeId {
-        let p = self.parent(v);
-        if p == NONE {
-            self.len() as NodeId
-        } else {
-            self.subtree_end(p)
-        }
+        self.topo.parent_subtree_end(v)
     }
 
     /// Global number of nodes labelled `l` — O(1), used by hybrid evaluation.

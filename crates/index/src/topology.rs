@@ -88,6 +88,19 @@ impl Topology {
         }
     }
 
+    /// One past the last preorder id of the parent's subtree (the node
+    /// count for the root).
+    #[inline]
+    pub fn parent_subtree_end(&self, v: NodeId) -> NodeId {
+        match self {
+            Topology::Array(t) => match t.parent[v as usize] {
+                NONE => t.parent.len() as NodeId,
+                p => t.subtree_end[p as usize],
+            },
+            Topology::Succinct(t) => t.tree.parent_subtree_end(v),
+        }
+    }
+
     /// Depth (root = 0).
     #[inline]
     pub fn depth(&self, v: NodeId) -> u32 {

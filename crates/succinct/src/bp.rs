@@ -279,6 +279,27 @@ impl Bp {
         self.fwd_value_search_at(from, e_from, e_p).map(|q| q - 1)
     }
 
+    /// Position of the close parenthesis of the tightest pair enclosing
+    /// the open parenthesis at `p` (its parent's close, in tree terms),
+    /// with the open-rank of `p` already known (see
+    /// [`Self::find_close_with_rank`]). One forward search — the same
+    /// answer as `find_close(enclose(p))` without the backward search.
+    #[inline]
+    pub fn enclosing_close_with_rank(&self, p: usize, open_rank: usize) -> Option<usize> {
+        if p >= self.len() || !self.is_open(p) {
+            return None;
+        }
+        let e_p = 2 * open_rank as i32 - p as i32;
+        debug_assert_eq!(e_p, self.excess(p));
+        if e_p == 0 {
+            return None;
+        }
+        // excess(p+1) = e_p + 1 (p is open); the parent closes at the first
+        // q with excess(q) = e_p − 1, i.e. at position q − 1.
+        self.fwd_value_search_at(p + 1, e_p + 1, e_p - 1)
+            .map(|q| q - 1)
+    }
+
     /// Position of the open parenthesis matching the close at `p`.
     pub fn find_open(&self, p: usize) -> Option<usize> {
         if p >= self.len() || self.is_open(p) {
@@ -602,6 +623,21 @@ mod tests {
                     assert_eq!(bp.find_open(c), Some(i), "find_open({c}) on {s}");
                 }
                 assert_eq!(bp.enclose(i), naive_enclose(s, i), "enclose({i}) on {s}");
+            }
+        }
+    }
+
+    #[test]
+    fn enclosing_close_matches_find_close_of_enclose() {
+        for s in ["(()(()))", "((()()())())", "()", "(((())))(())"] {
+            let bp = bp_of(s);
+            for p in 0..bp.len() {
+                if !bp.is_open(p) {
+                    continue;
+                }
+                let expected = bp.enclose(p).and_then(|q| bp.find_close(q));
+                let got = bp.enclosing_close_with_rank(p, bp.rank_open(p));
+                assert_eq!(got, expected, "{s} at {p}");
             }
         }
     }

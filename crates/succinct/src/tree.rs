@@ -164,6 +164,19 @@ impl SuccinctTree {
         (c - p).div_ceil(2) as u32
     }
 
+    /// One past the last preorder id in the subtree of `v`'s parent (the
+    /// node count for the root): the end of `v`'s subtree in the binary
+    /// first-child/next-sibling view. One forward search for the parent's
+    /// close parenthesis, then a rank.
+    #[inline]
+    pub fn parent_subtree_end(&self, v: u32) -> u32 {
+        let p = self.pos(v);
+        match self.bp.enclosing_close_with_rank(p, v as usize) {
+            Some(c) => self.node_at(c),
+            None => self.n_nodes as u32,
+        }
+    }
+
     /// One past the last preorder id in `v`'s subtree. Descendant-or-self test:
     /// `v <= u && u < subtree_end(v)`.
     #[inline]

@@ -73,6 +73,7 @@ fn main() {
         println!("   {{{}}} : {how}", members.join(","));
         for l in alphabet.ids() {
             let t = tda.trans(&asta, set, l, &mut stats);
+            let t = tda.trans_at(t);
             for next in [t.r1, t.r2] {
                 if !seen.contains(&next) && !tda.sets.get(next).is_empty() {
                     seen.push(next);

@@ -38,14 +38,17 @@ use std::path::{Path, PathBuf};
 /// The only modules allowed to contain `unsafe` code: the Pod cast /
 /// mmap boundary (`store::bytes`, `store::wire`), the succinct
 /// backend's storage + broadword kernels (`succinct::storage`,
-/// `succinct::rank_select`), and the server's `signal(2)` shutdown hook
-/// (`serve::signal`). Paths are workspace-relative.
+/// `succinct::rank_select`), the server's `signal(2)` shutdown hook
+/// (`serve::signal`), and the evaluator's allocation-budget test, whose
+/// counting `#[global_allocator]` must implement the unsafe `GlobalAlloc`
+/// trait. Paths are workspace-relative.
 pub const UNSAFE_WHITELIST: &[&str] = &[
     "crates/succinct/src/storage.rs",
     "crates/succinct/src/rank_select.rs",
     "crates/store/src/bytes.rs",
     "crates/store/src/wire.rs",
     "crates/serve/src/signal.rs",
+    "crates/core/tests/eval_alloc.rs",
 ];
 
 /// Atomic methods whose call sites must name an `Ordering` explicitly.
