@@ -118,13 +118,13 @@ fn bench_jumps(c: &mut Criterion) {
         let kw = ix.alphabet().lookup("keyword").unwrap();
         let set = LabelSet::singleton(ix.alphabet().len(), kw);
         group.bench_with_input(
-            BenchmarkId::new("jump_desc_bin", format!("{kind:?}")),
+            BenchmarkId::new("jump_desc_xml", format!("{kind:?}")),
             &set,
             |b, set| {
                 let mut v = 0u32;
                 b.iter(|| {
                     v = (v * 17 + 3) % (ix.len() as u32 / 2);
-                    ix.jump_desc_bin(v, set)
+                    ix.jump_desc_xml(v, set)
                 })
             },
         );

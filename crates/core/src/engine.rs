@@ -246,15 +246,8 @@ impl ProgramCell {
         self.runs.load(Ordering::Relaxed)
     }
 
-    /// Mean observed visits per run, if it has run at all.
-    pub fn avg_actual_visits(&self) -> Option<f64> {
-        let runs = self.runs();
-        (runs > 0).then(|| self.actual_visits.load(Ordering::Relaxed) as f64 / runs as f64)
-    }
-
-    /// Cumulative visits observed across every run (the numerator of
-    /// [`Self::avg_actual_visits`]); with [`Self::runs`] this is the
-    /// execution history a `.xwqp` sidecar persists.
+    /// Cumulative visits observed across every run; with [`Self::runs`]
+    /// this is the execution history a `.xwqp` sidecar persists.
     pub fn total_visits(&self) -> u64 {
         self.actual_visits.load(Ordering::Relaxed)
     }

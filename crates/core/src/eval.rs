@@ -1246,6 +1246,36 @@ mod tests {
     }
 
     #[test]
+    fn visits_only_relevant_nodes() {
+        // The §1 staircase example: for //a//b only the top-most a's (1, 9)
+        // and their b descendants (3, 5, 10) are relevant (Thm. 3.1). The
+        // nested a4 and the b's outside any a (6, 8) are never touched.
+        let xml = "<c><a><c><b/></c><a><b/></a></a><b/><c><b/></c><a><b/></a></c>";
+        // ids: c0 a1 c2 b3 a4 b5 b6 c7 b8 a9 b10
+        for (name, opts, visited) in [
+            ("naive", STRATS[0], 11),
+            ("pruning", STRATS[1], 11),
+            ("jumping", STRATS[2], 5),
+            ("optimized", STRATS[4], 5),
+        ] {
+            let (out, stats) = run("//a//b", xml, opts);
+            assert_eq!(out, [3, 5, 10], "{name}");
+            assert_eq!(stats.visited, visited, "{name}");
+        }
+        // A DTD-style recognizer of the root: only the root is relevant.
+        for (name, opts) in [
+            ("pruning", STRATS[1]),
+            ("jumping", STRATS[2]),
+            ("memoized", STRATS[3]),
+            ("optimized", STRATS[4]),
+        ] {
+            let (out, stats) = run("/*", xml, opts);
+            assert_eq!(out, [0], "{name}");
+            assert_eq!(stats.visited, 1, "{name}");
+        }
+    }
+
+    #[test]
     fn memo_amortizes() {
         let mut xml = String::from("<a>");
         for _ in 0..100 {

@@ -457,32 +457,11 @@ impl TreeIndex {
         best
     }
 
-    /// `dt(π, L)` over the *binary* tree: first node after `π` in document
-    /// order, within `π`'s binary subtree, whose label is in `L`.
-    #[inline]
-    pub fn jump_desc_bin(&self, v: NodeId, l_set: &LabelSet) -> NodeId {
-        self.first_labeled_in_range(v + 1, self.bin_subtree_end(v), l_set)
-    }
-
-    /// `ft(π, L, π₀)` over the *binary* tree: first node following `π`'s
-    /// binary subtree, inside `π₀`'s binary subtree, with label in `L`.
-    #[inline]
-    pub fn jump_following_bin(&self, v: NodeId, l_set: &LabelSet, scope: NodeId) -> NodeId {
-        self.first_labeled_in_range(self.bin_subtree_end(v), self.bin_subtree_end(scope), l_set)
-    }
-
     /// `dt` in the *XML* sense: first strict XML descendant of `v` with label
-    /// in `L` (used by the baseline and hybrid strategies).
+    /// in `L`.
     #[inline]
     pub fn jump_desc_xml(&self, v: NodeId, l_set: &LabelSet) -> NodeId {
         self.first_labeled_in_range(v + 1, self.subtree_end(v), l_set)
-    }
-
-    /// `ft` in the *XML* sense: first node after `v`'s XML subtree, before
-    /// `hi`, with label in `L`.
-    #[inline]
-    pub fn jump_following_xml(&self, v: NodeId, l_set: &LabelSet, hi: NodeId) -> NodeId {
-        self.first_labeled_in_range(self.subtree_end(v), hi, l_set)
     }
 
     /// `lt(π, L)`: first node on the binary left-most path below `π`
@@ -494,19 +473,6 @@ impl TreeIndex {
                 return cur;
             }
             cur = self.first_child(cur);
-        }
-        NONE
-    }
-
-    /// `rt(π, L)`: first node on the binary right-most path below `π`
-    /// (`π·2`, `π·2·2`, …, i.e. the next-sibling chain) with label in `L`.
-    pub fn jump_rightmost(&self, v: NodeId, l_set: &LabelSet) -> NodeId {
-        let mut cur = self.next_sibling(v);
-        while cur != NONE {
-            if l_set.contains(self.label(cur)) {
-                return cur;
-            }
-            cur = self.next_sibling(cur);
         }
         NONE
     }
@@ -733,27 +699,25 @@ mod tests {
     fn following_jumps() {
         let ix = idx();
         let bs = set(&ix, &["b"]);
-        // After node 1's XML subtree (ids 1..4), next b before 6 is 5.
-        assert_eq!(ix.jump_following_xml(1, &bs, 6), 5);
+        // `ft` as the evaluator issues it: the first b after `v`'s binary
+        // subtree, inside the scope's binary subtree.
+        let ft = |v, scope| {
+            ix.first_labeled_in_range(ix.bin_subtree_end(v), ix.bin_subtree_end(scope), &bs)
+        };
         // After node 1's *binary* subtree (1..6) there is nothing.
-        assert_eq!(ix.jump_following_bin(1, &bs, 0), NONE);
+        assert_eq!(ft(1, 0), NONE);
         // After node 2's binary subtree (2..4): b at 5 is inside scope 1.
-        assert_eq!(ix.jump_following_bin(2, &bs, 1), 5);
+        assert_eq!(ft(2, 1), 5);
     }
 
     #[test]
-    fn leftmost_rightmost_paths() {
+    fn leftmost_paths() {
         let ix = idx();
         let cs = set(&ix, &["c"]);
         // Left-most path below a(0): b(1) then c(2).
         assert_eq!(ix.jump_leftmost(0, &cs), 2);
         let bs = set(&ix, &["b"]);
         assert_eq!(ix.jump_leftmost(0, &bs), 1);
-        // Right-most path below b(1): sibling chain -> c(4).
-        assert_eq!(ix.jump_rightmost(1, &cs), 4);
-        assert_eq!(ix.jump_rightmost(1, &bs), NONE);
-        // c(2)'s sibling chain has b(3).
-        assert_eq!(ix.jump_rightmost(2, &bs), 3);
     }
 
     #[test]
@@ -772,6 +736,5 @@ mod tests {
         let empty = LabelSet::empty(ix.alphabet().len());
         assert_eq!(ix.jump_desc_xml(0, &empty), NONE);
         assert_eq!(ix.jump_leftmost(0, &empty), NONE);
-        assert_eq!(ix.jump_rightmost(1, &empty), NONE);
     }
 }

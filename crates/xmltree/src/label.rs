@@ -106,25 +106,6 @@ impl Alphabet {
         id
     }
 
-    /// Rebuilds an alphabet from its name list in id order (kinds and the
-    /// lookup map are re-derived, exactly as successive [`Self::intern`]
-    /// calls would). Fails on duplicate names — ids would not be dense.
-    pub fn from_names<I, S>(names: I) -> Result<Self, String>
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        let mut a = Self::new();
-        for (i, name) in names.into_iter().enumerate() {
-            let name = name.as_ref();
-            let id = a.intern(name);
-            if id as usize != i {
-                return Err(format!("alphabet: duplicate label name {name:?}"));
-            }
-        }
-        Ok(a)
-    }
-
     /// Builds a frozen alphabet directly over a name table — the zero-copy
     /// load path: a table borrowed from an mmap stays borrowed, and no
     /// per-label `String` is materialized (kinds and the name-sorted id
@@ -202,15 +183,6 @@ impl Alphabet {
             if self.kind(id) == kind {
                 s.insert(id);
             }
-        }
-        s
-    }
-
-    /// The full alphabet Σ as a set.
-    pub fn full_set(&self) -> LabelSet {
-        let mut s = LabelSet::empty(self.len());
-        for id in self.ids() {
-            s.insert(id);
         }
         s
     }
@@ -307,14 +279,6 @@ impl LabelSet {
         }
     }
 
-    /// In-place intersection.
-    pub fn intersect_with(&mut self, other: &Self) {
-        debug_assert_eq!(self.universe, other.universe);
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-    }
-
     /// In-place difference (`self ∖ other`).
     pub fn subtract(&mut self, other: &Self) {
         debug_assert_eq!(self.universe, other.universe);
@@ -400,10 +364,6 @@ mod tests {
         assert!(t.intersects(&s));
         t.subtract(&LabelSet::singleton(u, 0));
         assert!(!t.intersects(&s));
-
-        let mut i = s.clone();
-        i.intersect_with(&LabelSet::from_ids(u, [129, 5]));
-        assert_eq!(i.iter().collect::<Vec<_>>(), vec![129]);
     }
 
     #[test]

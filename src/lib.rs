@@ -6,7 +6,6 @@
 
 pub mod lint;
 
-pub use xwq_automata as automata;
 pub use xwq_baseline as baseline;
 pub use xwq_core as core;
 pub use xwq_index as index;
