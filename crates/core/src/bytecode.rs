@@ -4,9 +4,8 @@
 //! becomes a flat `Vec<Op>` over numbered candidate-set registers, with
 //! every variable-sized payload (steps, predicates, probe trees, chain
 //! steps, walk predicates, text literals) hoisted into side pools indexed
-//! by `u32`. The register VM ([`crate::vm`]) executes the op list in one
-//! dispatch loop; the tree executor ([`crate::exec`]) stays as the
-//! differential-testing oracle.
+//! by `u32`. The register VM ([`crate::vm`]), the only executor of spine
+//! plans, runs the op list in one dispatch loop.
 //!
 //! Programs serialize to a compact, versioned little-endian byte form
 //! ([`Program::encode`] / [`Program::decode`]) so they can be persisted in
@@ -148,7 +147,7 @@ pub enum ProbeNode {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Op {
     /// Seed `dst` from `label`'s sorted preorder list (marks every entry
-    /// visited, like the tree executor's seed loop).
+    /// visited).
     LabelJump { dst: u8, label: LabelId },
     /// Retain candidates of `reg` satisfying all of `step`'s predicates.
     PredFilter { reg: u8, step: u16 },

@@ -3,12 +3,12 @@
 use crate::bytecode::{compile_plan, ProgKind, Program};
 use crate::compile::{compile_path_indexed, CompileError};
 use crate::eval::{EvalMemo, EvalScratch, EvalStats, Evaluator};
-use crate::plan::{Plan, PlanKind};
+use crate::plan::Plan;
 use crate::planner::Feedback;
-use crate::{exec, planner, vm, Asta};
+use crate::{planner, vm, Asta};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use xwq_index::{Document, NodeId, TopologyKind, TreeIndex};
 use xwq_obs::TraceNode;
@@ -34,8 +34,8 @@ pub enum Strategy {
     /// Cost-based planning: per query, the planner composes the spine
     /// pipeline (LabelJump / UpwardMatch / PredicateProbe / SpineDescend /
     /// Intersect) or a full automaton run from the index's label
-    /// statistics (see [`crate::planner`]). The chosen plan is cached on
-    /// the [`CompiledQuery`].
+    /// statistics (see [`crate::planner`]). The chosen plan's compiled
+    /// program is cached on the [`CompiledQuery`].
     Auto,
 }
 
@@ -156,7 +156,7 @@ impl std::error::Error for QueryError {}
 
 /// A parsed and compiled query, reusable across runs. Besides the parsed
 /// path and the automaton it carries two caches keyed by the document it
-/// was compiled against: the per-strategy physical [`Plan`]s, and a pool
+/// was compiled against: the per-strategy compiled programs, and a pool
 /// of [`EvalMemo`] tables reused across automaton runs (both tagged with
 /// [`TreeIndex::identity`], so running the query against a different
 /// document of the same alphabet silently skips the caches instead of
@@ -171,7 +171,7 @@ pub struct CompiledQuery {
 }
 
 impl Clone for CompiledQuery {
-    /// Clones the query itself; the plan/memo caches start empty (they
+    /// Clones the query itself; the program/memo caches start empty (they
     /// refill on first run).
     fn clone(&self) -> Self {
         Self {
@@ -208,8 +208,6 @@ type ProgSlot = Mutex<Option<(u64, Arc<ProgramCell>)>>;
 /// The per-`(document, query)` caches living inside a [`CompiledQuery`].
 #[derive(Debug, Default)]
 struct QueryCache {
-    /// One plan slot per strategy, tagged with the document identity.
-    plans: [OnceLock<(u64, Arc<Plan>)>; 7],
     /// One compiled-program slot per strategy, tagged with the document
     /// identity. A `Mutex`, not a `OnceLock`: the slot is *replaced* when
     /// feedback triggers a re-plan or a warm `.xwqp` program is installed.
@@ -303,8 +301,8 @@ pub struct QueryOutput {
     /// True if [`Strategy::Hybrid`] was requested but the query shape made
     /// the engine fall back to the optimized automaton run.
     pub hybrid_fallback: bool,
-    /// Nanoseconds spent in the VM dispatch loop (0 for automaton/empty
-    /// programs and the tree-executor oracle path).
+    /// Nanoseconds spent in the VM dispatch loop (0 for automaton and
+    /// empty programs).
     pub vm_dispatch_ns: u64,
     /// True if this run's visit feedback just triggered a re-plan (the
     /// *next* run uses the replacement program).
@@ -380,23 +378,12 @@ impl Engine {
         Ok(CompiledQuery::new(path, asta))
     }
 
-    /// The physical plan `strategy` uses for `q` on this document, cached
-    /// on the compiled query. The five automaton strategies and `hybrid`
-    /// are fixed templates; [`Strategy::Auto`] is the cost-based choice.
-    pub fn plan(&self, q: &CompiledQuery, strategy: Strategy) -> Arc<Plan> {
-        let identity = self.ix.identity();
-        let slot = &q.cache.plans[strategy.idx()];
-        if let Some((tag, plan)) = slot.get() {
-            if *tag == identity {
-                return Arc::clone(plan);
-            }
-            // Compiled against one document, run against another: plan
-            // fresh without caching (the slot stays owned by the first).
-            return Arc::new(planner::plan_strategy(strategy, &q.path, &self.ix));
-        }
-        let plan = Arc::new(planner::plan_strategy(strategy, &q.path, &self.ix));
-        let _ = slot.set((identity, Arc::clone(&plan)));
-        plan
+    /// The physical plan `strategy` chooses for `q` on this document,
+    /// planned afresh on every call (cold, without execution feedback).
+    /// The five automaton strategies and `hybrid` are fixed templates;
+    /// [`Strategy::Auto`] is the cost-based choice.
+    pub fn plan(&self, q: &CompiledQuery, strategy: Strategy) -> Plan {
+        planner::plan_strategy(strategy, &q.path, &self.ix)
     }
 
     /// The compiled bytecode program `strategy` uses for `q` on this
@@ -411,16 +398,17 @@ impl Engine {
                 if *tag == identity {
                     return Arc::clone(cell);
                 }
-                // Foreign-document slot: compile fresh without caching
-                // (mirrors the plan cache's ownership rule).
+                // Compiled against one document, run against another:
+                // compile fresh without caching (the slot stays owned by
+                // the first).
                 drop(guard);
-                let plan = self.plan(q, strategy);
+                let plan = planner::plan_strategy(strategy, &q.path, &self.ix);
                 self.planned.fetch_add(1, Ordering::Relaxed);
                 return Arc::new(ProgramCell::new(compile_plan(&plan)));
             }
         }
         // Plan and lower outside the lock.
-        let plan = self.plan(q, strategy);
+        let plan = planner::plan_strategy(strategy, &q.path, &self.ix);
         let cell = Arc::new(ProgramCell::new(compile_plan(&plan)));
         self.planned.fetch_add(1, Ordering::Relaxed);
         let mut guard = slot.lock().expect("program slot poisoned");
@@ -518,8 +506,9 @@ impl Engine {
         true
     }
 
-    /// Evaluates a compiled query under a strategy (through the bytecode
-    /// VM — see [`Self::run_plan`] for the tree-executor oracle).
+    /// Evaluates a compiled query under a strategy: the cached bytecode
+    /// program runs in the register VM or, for automaton programs, the
+    /// automaton evaluator.
     pub fn run(&self, q: &CompiledQuery, strategy: Strategy) -> QueryOutput {
         self.run_with_scratch(q, strategy, &mut EvalScratch::new())
     }
@@ -540,19 +529,6 @@ impl Engine {
         scratch: &mut EvalScratch,
     ) -> QueryOutput {
         self.run_program_traced(q, strategy, scratch, None)
-    }
-
-    /// Executes a plan obtained from [`Self::plan`] for the same query in
-    /// the *tree executor* — the differential-testing oracle for the VM.
-    /// No program cache, feedback, or re-planning is involved.
-    pub fn run_plan(
-        &self,
-        q: &CompiledQuery,
-        plan: &Plan,
-        strategy: Strategy,
-        scratch: &mut EvalScratch,
-    ) -> QueryOutput {
-        self.run_plan_traced(q, plan, strategy, scratch, None)
     }
 
     /// Evaluates a compiled query and records a per-operator span tree:
@@ -723,50 +699,6 @@ impl Engine {
             hybrid_fallback: false,
             vm_dispatch_ns: 0,
             replanned: false,
-        }
-    }
-
-    fn run_plan_traced(
-        &self,
-        q: &CompiledQuery,
-        plan: &Plan,
-        strategy: Strategy,
-        scratch: &mut EvalScratch,
-        mut trace: Option<&mut TraceNode>,
-    ) -> QueryOutput {
-        match &plan.kind {
-            PlanKind::Empty => {
-                if let Some(t) = trace.as_deref_mut() {
-                    t.child(TraceNode::new(
-                        "Empty",
-                        "a queried label does not occur in this document",
-                    ));
-                }
-                QueryOutput {
-                    nodes: Vec::new(),
-                    stats: EvalStats::default(),
-                    hybrid_fallback: false,
-                    vm_dispatch_ns: 0,
-                    replanned: false,
-                }
-            }
-            PlanKind::Spine(sp) => {
-                let (nodes, stats) = exec::run_spine_traced(sp, &self.ix, scratch, trace);
-                QueryOutput {
-                    nodes,
-                    stats,
-                    hybrid_fallback: false,
-                    vm_dispatch_ns: 0,
-                    replanned: false,
-                }
-            }
-            PlanKind::Automaton(opts) => {
-                let out = self.run_automaton(q, *opts, plan.est.visits, scratch, trace);
-                QueryOutput {
-                    hybrid_fallback: strategy == Strategy::Hybrid,
-                    ..out
-                }
-            }
         }
     }
 

@@ -147,12 +147,12 @@ impl EvalStats {
 /// and passes it to every run ([`crate::Engine::run_with_scratch`]): the
 /// visited-node bitset is document-sized, so reusing it turns a per-query
 /// allocation into a `memset`; the automaton evaluator's node-list and
-/// result-set arena and its chain work stack, and the spine executor's
-/// memo tables and candidate buffers, keep their capacity the same way.
+/// result-set arena and its chain work stack, and the register VM's memo
+/// tables and candidate registers, keep their capacity the same way.
 #[derive(Debug, Default)]
 pub struct EvalScratch {
     pub(crate) visited: StateBits,
-    pub(crate) spine: crate::exec::SpineScratch,
+    pub(crate) spine: crate::walk::SpineScratch,
     results: ResultArena,
     items: Vec<Item>,
 }

@@ -24,13 +24,13 @@ mod cache;
 mod compile;
 mod engine;
 mod eval;
-mod exec;
 mod plan;
 pub mod planner;
 mod results;
 mod sets;
 mod tda;
 mod vm;
+mod walk;
 
 pub use asta::{Asta, AstaTransition, Formula, StateId};
 pub use bits::StateBits;

@@ -1,36 +1,35 @@
-//! The bytecode register VM.
+//! The bytecode register VM: the one executor of spine plans.
 //!
 //! Executes a [`SpineProg`] in one dispatch loop over its flat op list:
 //! candidate sets live in numbered registers (pooled vectors in
-//! [`EvalScratch`]), and each op transforms whole registers at a time.
-//! Semantics are pinned to the tree executor ([`crate::exec`]), which
-//! stays as the differential-testing oracle: the VM produces the same
-//! result sets, and — apart from the ancestor-probe `UpwardMatch`
-//! acceleration, which strictly *reduces* visits — the same visit/jump
-//! counters. The predicate-walk and index-probe helpers are literally
-//! shared code ([`crate::exec::WalkCtx`]), so the two paths cannot drift.
+//! [`EvalScratch`]), and each op transforms whole registers at a time —
+//! `LabelJump` seeds a register from a label list, `PredFilter` and
+//! `UpwardMatch` filter it, `Descend` / `Intersect` enumerate the next
+//! step's matches below it. Predicate walks and index probes run through
+//! [`WalkCtx`] (`walk.rs`), and visit accounting matches the automaton
+//! evaluators. Results are checked against the independent `xwq-baseline`
+//! evaluator, and the traversal counters of the fig. 2 suite are pinned by
+//! golden tables (`tests/eval_counters.rs`).
 //!
-//! Batching equivalence: the tree executor interleaves per-candidate
-//! predicate checks with enumeration, while the VM enumerates first and
-//! filters after. Every per-candidate check is a pure function (memo
-//! tables cache pure results), each enumeration method emits every node
-//! at most once before dedup, and the VM filters in enumeration order —
-//! so the evaluated work, the visited set, and the jump totals are
-//! identical, just reorganized into register passes.
+//! Enumerate first, filter after: a descend op emits every node at most
+//! once before `SortDedup`, and `PredFilter` then checks the candidates in
+//! enumeration order. Every per-candidate check is a pure function (memo
+//! tables cache pure results), so the evaluated work, the visited set and
+//! the jump totals do not depend on the order of the register passes.
 //!
-//! The one deliberate divergence: for a descendant-axis upward step whose
-//! previous step is a bare label test, `UpwardMatch` uses the index's
-//! ancestor-axis probe ([`TreeIndex::label_ancestors`]) instead of a
-//! parent-chain walk — O(log n) per candidate instead of O(depth), and
-//! the chain members it does examine are exactly the test-passing
-//! ancestors, so results are unchanged while deep upward contexts stop
-//! paying per-level visits.
+//! The ancestor-axis probe: for a descendant-axis upward step whose
+//! previous step is a bare label test, `UpwardMatch` asks the index's
+//! ancestor-axis probe ([`TreeIndex::label_ancestors`]) instead of walking
+//! the parent chain — O(log n) per candidate instead of O(depth), counted
+//! as jumps. The chain members it does examine are exactly the
+//! test-passing ancestors, so results equal a parent-chain walk's while
+//! deep upward contexts stop paying per-level visits.
 
 use crate::bytecode::{BcPred, Op, ProbeNode, SpineProg};
 use crate::eval::{EvalScratch, EvalStats};
-use crate::exec::{SpineScratch, WalkCtx};
 use crate::plan::{Descend, SpineTest};
 use crate::planner::star_kind;
+use crate::walk::{SpineScratch, WalkCtx};
 use std::time::Instant;
 use xwq_index::{NodeId, TreeIndex, NONE};
 use xwq_obs::TraceNode;
@@ -40,7 +39,7 @@ use xwq_xpath::Axis;
 pub(crate) struct VmRun {
     /// Selected nodes, document order, duplicate-free.
     pub nodes: Vec<NodeId>,
-    /// Traversal statistics (same accounting as the tree executor).
+    /// Traversal statistics (same accounting as the automaton evaluators).
     pub stats: EvalStats,
     /// Wall-clock nanoseconds spent in the dispatch loop.
     pub dispatch_ns: u64,
@@ -48,8 +47,7 @@ pub(crate) struct VmRun {
 
 /// Executes a validated spine program. `trace`, when given, receives one
 /// child span per materialized op (seed, filters, descends), carrying the
-/// op's stats deltas — deterministic without timings, like the tree
-/// executor's spans.
+/// op's stats deltas — deterministic without timings.
 pub(crate) fn run_program_traced(
     prog: &SpineProg,
     ix: &TreeIndex,
@@ -228,8 +226,9 @@ struct Vm<'a> {
     p: &'a SpineProg,
     stats: EvalStats,
     s: &'a mut SpineScratch,
-    /// Same threshold as the tree executor: memo tables only pay off when
-    /// candidates can share ancestors or predicate work.
+    /// Memo tables only pay off when candidates can share ancestors or
+    /// predicate work; for a handful of candidates the hash traffic costs
+    /// more than the recomputation it saves.
     use_memo: bool,
 }
 
@@ -424,7 +423,8 @@ impl<'a> Vm<'a> {
     }
 
     /// UpwardMatch: does the spine prefix `steps[..k]` match above `v`?
-    /// Memoized on `(k, v)` like the tree executor. Descendant-axis
+    /// Memoized on `(k, v)`: the answer is a pure function of the pair,
+    /// and candidates share ancestors heavily. Descendant-axis
     /// upward steps whose previous step is a bare label test use the
     /// index's ancestor-axis probe instead of a parent-chain walk.
     fn match_up(&mut self, k: u32, v: NodeId) -> bool {
@@ -480,8 +480,9 @@ impl<'a> Vm<'a> {
                         found
                     }
                 } else {
-                    // General case: the tree executor's memoized
-                    // parent-chain walk with the min-depth cutoff.
+                    // General case: the memoized parent-chain walk with
+                    // the min-depth cutoff (ancestors only get shallower:
+                    // above the step's shallowest label nothing matches).
                     let min_depth = ps.min_depth;
                     let mut par = self.ix.parent(v);
                     let mut found = false;

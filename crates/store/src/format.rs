@@ -17,19 +17,19 @@
 //! │ topology u32 (0 = array, 1 = succinct)                                │
 //! │   array:    subtree_end u32[n] │ depth u32[n]                         │
 //! │   succinct: bit_len u64 │ bp words u64[] │ rank dir u64[]             │
-//! │             (v2+) block dir u64[] │ select1 samples u32[]             │
-//! │             (v2+) select0 samples u32[]                               │
+//! │             block dir u64[] │ select1 samples u32[]                   │
+//! │             select0 samples u32[]                                     │
 //! │             seg_leaves u64 │ seg (i32,i32)[]                          │
 //! │ label list count u64 │ per label: preorder ids u32[]                  │
 //! │ text_values string-table │ text_ids u32[n]                            │
 //! └───────────────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! **Versioning.** Version 2 added the O(1) rank/select directories
-//! (packed block counts and sampled select inventories). Writers emit the
-//! current version; the reader accepts both — a v1 file simply rebuilds
-//! the newer directories from the bit data on load, so old indexes stay
-//! readable across the upgrade.
+//! **Versioning.** The reader accepts exactly one generation, [`VERSION`]
+//! (2: the one carrying the O(1) rank/select directories — packed block
+//! counts and sampled select inventories). Any other version, including
+//! the retired v1 without those directories, is rejected as
+//! [`FormatError::UnsupportedVersion`]; re-index the XML to upgrade.
 //!
 //! All integers are little-endian; arrays are length-prefixed; blobs are
 //! padded so numeric arrays stay 8-byte aligned (see [`crate::wire`]).
@@ -51,11 +51,8 @@ use xwq_xml::{Alphabet, Document};
 /// File magic: `XWQI`.
 pub const MAGIC: [u8; 4] = *b"XWQI";
 
-/// Current format version.
+/// The format version: the only one writers emit and the reader accepts.
 pub const VERSION: u32 = 2;
-
-/// Oldest version the reader still accepts.
-pub const MIN_VERSION: u32 = 1;
 
 /// Header size in bytes.
 pub const HEADER_LEN: usize = 32;
@@ -67,7 +64,7 @@ pub enum FormatError {
     Io(std::io::Error),
     /// The file does not start with [`MAGIC`].
     BadMagic,
-    /// The file's version is newer than this reader understands.
+    /// The file's version is not [`VERSION`].
     UnsupportedVersion(u32),
     /// The file ends before a field it promises.
     Truncated {
@@ -95,7 +92,7 @@ impl fmt::Display for FormatError {
             FormatError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported .xwqi version {v} (this build reads {VERSION})"
+                    "unsupported .xwqi version {v} (this build reads only version {VERSION}; re-index the XML)"
                 )
             }
             FormatError::Truncated { need, have } => {
@@ -133,20 +130,6 @@ impl From<std::io::Error> for FormatError {
 /// The index must have been built over exactly this document (same node
 /// count and alphabet); mismatches are reported as [`FormatError::Corrupt`].
 pub fn serialize(doc: &Document, index: &TreeIndex) -> Result<Vec<u8>, FormatError> {
-    serialize_version(doc, index, VERSION)
-}
-
-/// Serializes at an explicit format version (compatibility testing and
-/// emitting indexes readable by older binaries). Only versions in
-/// `MIN_VERSION..=VERSION` are supported.
-pub fn serialize_version(
-    doc: &Document,
-    index: &TreeIndex,
-    version: u32,
-) -> Result<Vec<u8>, FormatError> {
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(FormatError::UnsupportedVersion(version));
-    }
     if index.len() != doc.len() || index.alphabet().len() != doc.alphabet().len() {
         return Err(FormatError::Corrupt(
             "index was not built over this document".into(),
@@ -182,11 +165,9 @@ pub fn serialize_version(
             w.put_u64(rs.bit_vec().len() as u64);
             w.put_u64_array(rs.bit_vec().words());
             w.put_u64_array(rs.super_ranks());
-            if version >= 2 {
-                w.put_u64_array(rs.block_ranks());
-                w.put_u32_array(rs.select1_samples());
-                w.put_u32_array(rs.select0_samples());
-            }
+            w.put_u64_array(rs.block_ranks());
+            w.put_u32_array(rs.select1_samples());
+            w.put_u32_array(rs.select0_samples());
             let (seg_leaves, seg) = tree.bp().seg_directory();
             w.put_u64(seg_leaves as u64);
             w.put_i32_pairs_flat(seg);
@@ -203,7 +184,7 @@ pub fn serialize_version(
     let payload = w.into_bytes();
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&0u32.to_le_bytes()); // flags
     out.extend_from_slice(&0u32.to_le_bytes()); // reserved
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
@@ -260,7 +241,7 @@ fn deserialize_inner(
         return Err(FormatError::BadMagic);
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(FormatError::UnsupportedVersion(version));
     }
     let payload_len = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
@@ -337,23 +318,17 @@ fn deserialize_inner(
             let words = r.u64_array()?;
             let bits = BitVec::from_raw_parts(words, bit_len).map_err(corrupt)?;
             let super_ranks = r.u64_array()?;
-            let rs = if version >= 2 {
-                let block_ranks = r.u64_array()?;
-                let select1_samples = r.u32_array()?;
-                let select0_samples = r.u32_array()?;
-                RankSelect::from_raw_parts_v2(
-                    bits,
-                    super_ranks,
-                    block_ranks,
-                    select1_samples,
-                    select0_samples,
-                )
-                .map_err(corrupt)?
-            } else {
-                // v1 carries only the superblock directory: rebuild the
-                // block and select directories from the bit data.
-                RankSelect::from_raw_parts(bits, super_ranks).map_err(corrupt)?
-            };
+            let block_ranks = r.u64_array()?;
+            let select1_samples = r.u32_array()?;
+            let select0_samples = r.u32_array()?;
+            let rs = RankSelect::from_raw_parts(
+                bits,
+                super_ranks,
+                block_ranks,
+                select1_samples,
+                select0_samples,
+            )
+            .map_err(corrupt)?;
             let seg_leaves = usize::try_from(r.u64()?)
                 .map_err(|_| FormatError::Corrupt("segment tree too large".into()))?;
             let seg = r.i32_pairs_flat()?;
@@ -456,6 +431,7 @@ mod tests {
             assert_eq!(ix.text_of(v), ix2.text_of(v));
         }
         assert_eq!(ix2.topology().kind(), TopologyKind::Array);
+        assert_eq!(serialize(&doc2, &ix2).unwrap(), bytes, "deterministic");
     }
 
     #[test]
@@ -463,8 +439,9 @@ mod tests {
         let doc = parse("<a><b><c/><c/></b><d>text</d></a>").unwrap();
         let ix = TreeIndex::build_with(&doc, TopologyKind::Succinct);
         let bytes = serialize(&doc, &ix).unwrap();
-        let (_, ix2) = deserialize(&bytes).unwrap();
+        let (doc2, ix2) = deserialize(&bytes).unwrap();
         assert_eq!(ix2.topology().kind(), TopologyKind::Succinct);
+        assert_eq!(serialize(&doc2, &ix2).unwrap(), bytes, "deterministic");
         for v in 0..ix.len() as u32 {
             assert_eq!(ix.first_child(v), ix2.first_child(v));
             assert_eq!(ix.next_sibling(v), ix2.next_sibling(v));

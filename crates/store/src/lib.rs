@@ -89,8 +89,8 @@ pub use bytes::IndexBytes;
 pub use durable::{atomic_write, fsync_dir, write_synced};
 pub use format::{
     deserialize, deserialize_shared, deserialize_shared_trusted, read_index_file,
-    read_index_file_mmap, read_index_file_mmap_trusted, serialize, serialize_version,
-    write_index_file, FormatError, HEADER_LEN, MAGIC, MIN_VERSION, VERSION,
+    read_index_file_mmap, read_index_file_mmap_trusted, serialize, write_index_file, FormatError,
+    HEADER_LEN, MAGIC, VERSION,
 };
 pub use lru::LruCache;
 pub use plans::{

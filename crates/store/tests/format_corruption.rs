@@ -53,6 +53,13 @@ fn unsupported_version() {
         deserialize(&bytes),
         Err(FormatError::UnsupportedVersion(0))
     ));
+    // Version 1, the retired generation without the rank/select
+    // directories, is no longer read either.
+    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+    assert!(matches!(
+        deserialize(&bytes),
+        Err(FormatError::UnsupportedVersion(1))
+    ));
 }
 
 #[test]
@@ -224,34 +231,6 @@ fn v2_rank_select_directories_are_validated_structurally() {
             matches!(deserialize(&m), Err(FormatError::Corrupt(_))),
             "checksum-consistent corruption of {name} must be rejected structurally"
         );
-    }
-}
-
-/// A v1 file (no block/select directories in the payload) must still load:
-/// the reader rebuilds the newer directories from the bit data.
-#[test]
-fn v1_files_remain_readable() {
-    use xwq_store::serialize_version;
-    let doc = xwq_xmark::generate(GenOptions {
-        factor: 0.005,
-        seed: 42,
-    });
-    for topo in [TopologyKind::Array, TopologyKind::Succinct] {
-        let index = TreeIndex::build_with(&doc, topo);
-        let v1 = serialize_version(&doc, &index, 1).expect("serialize v1");
-        assert_eq!(&v1[4..8], &1u32.to_le_bytes(), "v1 header version");
-        let (doc2, ix2) = xwq_store::deserialize(&v1).expect("v1 must deserialize");
-        assert_eq!(doc2.len(), doc.len());
-        assert_eq!(ix2.len(), index.len());
-        for v in (0..index.len() as u32).step_by(7) {
-            assert_eq!(ix2.first_child(v), index.first_child(v));
-            assert_eq!(ix2.next_sibling(v), index.next_sibling(v));
-            assert_eq!(ix2.subtree_end(v), index.subtree_end(v));
-        }
-        // And the v2 writer round-trips deterministically.
-        let v2a = serialize(&doc2, &ix2).expect("serialize v2");
-        let v2b = serialize(&doc, &index).expect("serialize v2");
-        assert_eq!(v2a, v2b, "v2 serialization must be deterministic");
     }
 }
 

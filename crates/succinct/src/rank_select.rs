@@ -330,35 +330,13 @@ impl RankSelect {
         &self.select0_samples
     }
 
-    /// Reassembles from a `.xwqi` v1 payload, which carries only the
-    /// superblock directory: the block and select directories are rebuilt,
-    /// then the stored superblock directory is validated against the
-    /// rebuilt one (v1 directories are deterministic, so any mismatch is
-    /// corruption).
-    pub fn from_raw_parts(
-        bits: BitVec,
-        super_ranks: impl Into<Store<u64>>,
-    ) -> Result<Self, String> {
-        let super_ranks = super_ranks.into();
-        let rebuilt = Self::new(bits);
-        if super_ranks != rebuilt.super_ranks {
-            return Err(format!(
-                "rank directory has {} entries or wrong contents (expected {} entries matching the bit data)",
-                super_ranks.len(),
-                rebuilt.super_ranks.len()
-            ));
-        }
-        Ok(rebuilt)
-    }
-
-    /// Reassembles from a `.xwqi` v2 payload carrying all four
-    /// directories. Every directory is validated against what
-    /// [`Self::new`] would build — one linear pass over the words, the
-    /// same cost as the v1 popcount validation — so corrupt directories
+    /// Reassembles from a `.xwqi` payload carrying all four directories.
+    /// Every directory is validated against what [`Self::new`] would
+    /// build — one linear pass over the words — so corrupt directories
     /// can never mis-route an O(1) lookup. The *validated input* stores
     /// are kept (not the rebuilt copies), so zero-copy loads keep serving
     /// straight out of the mapped file.
-    pub fn from_raw_parts_v2(
+    pub fn from_raw_parts(
         bits: BitVec,
         super_ranks: impl Into<Store<u64>>,
         block_ranks: impl Into<Store<u64>>,
@@ -679,7 +657,7 @@ mod tests {
     fn raw_parts_roundtrip_and_validation() {
         let bits: BitVec = (0..5000).map(|i| i % 3 == 0).collect();
         let rs = RankSelect::new(bits.clone());
-        let ok = RankSelect::from_raw_parts_v2(
+        let ok = RankSelect::from_raw_parts(
             bits.clone(),
             rs.super_ranks().to_vec(),
             rs.block_ranks().to_vec(),
@@ -691,7 +669,7 @@ mod tests {
         // Each corrupted directory is rejected.
         let mut bad = rs.block_ranks().to_vec();
         bad[0] ^= 1;
-        assert!(RankSelect::from_raw_parts_v2(
+        assert!(RankSelect::from_raw_parts(
             bits.clone(),
             rs.super_ranks().to_vec(),
             bad,
@@ -701,16 +679,13 @@ mod tests {
         .is_err());
         let mut bad = rs.select1_samples().to_vec();
         bad[0] += 1;
-        assert!(RankSelect::from_raw_parts_v2(
-            bits.clone(),
+        assert!(RankSelect::from_raw_parts(
+            bits,
             rs.super_ranks().to_vec(),
             rs.block_ranks().to_vec(),
             bad,
             rs.select0_samples().to_vec(),
         )
         .is_err());
-        // v1 path still works and rebuilds the new directories.
-        let v1 = RankSelect::from_raw_parts(bits, rs.super_ranks().to_vec()).unwrap();
-        assert_eq!(v1.select1_samples(), rs.select1_samples());
     }
 }
