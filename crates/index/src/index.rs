@@ -3,7 +3,7 @@
 use crate::{Topology, TopologyKind};
 use std::sync::{Arc, OnceLock};
 use xwq_succinct::{Store, StrTable};
-use xwq_xml::{Alphabet, Document, LabelId, LabelKind, LabelSet, NodeId, NONE};
+use xwq_xml::{first_bad, Alphabet, Document, LabelId, LabelKind, LabelSet, NodeId, NONE};
 
 /// Per-label statistics the cost-based query planner consumes.
 #[derive(Clone, Copy, Debug, Default)]
@@ -126,9 +126,12 @@ pub struct TreeIndex {
     text_values: StrTable,
     /// Content id per node (`u32::MAX` for elements).
     text_ids: Store<u32>,
-    /// For each content id, the sorted list of nodes carrying it (always
-    /// derived in memory — it is not part of the wire format).
-    text_lists: Vec<Vec<NodeId>>,
+    /// Per content id, the nodes carrying it in document order, as one
+    /// CSR pair: id `i`'s nodes are `text_nodes[text_offsets[i]..
+    /// text_offsets[i + 1]]`. Always derived in memory from `text_ids` —
+    /// it is not part of the wire format.
+    text_offsets: Vec<u32>,
+    text_nodes: Vec<NodeId>,
     /// Lazily computed planner statistics, shared across clones.
     stats: Arc<OnceLock<IndexStats>>,
     /// Per-label prefix maxima of subtree ends over the preorder lists
@@ -165,18 +168,16 @@ impl TreeIndex {
         let mut text_values: Vec<String> = Vec::new();
         let mut text_map: crate::FxHashMap<String, u32> = crate::FxHashMap::default();
         let mut text_ids = vec![u32::MAX; doc.len()];
-        let mut text_lists: Vec<Vec<NodeId>> = Vec::new();
         for v in doc.nodes() {
             if let Some(t) = doc.text(v) {
                 let id = *text_map.entry(t.to_string()).or_insert_with(|| {
                     text_values.push(t.to_string());
-                    text_lists.push(Vec::new());
                     (text_values.len() - 1) as u32
                 });
                 text_ids[v as usize] = id;
-                text_lists[id as usize].push(v);
             }
         }
+        let (text_offsets, text_nodes) = text_csr(&text_ids, text_values.len());
         Self {
             alphabet,
             labels: labels.into(),
@@ -184,7 +185,8 @@ impl TreeIndex {
             label_lists: label_lists.into_iter().map(Store::from).collect(),
             text_values: text_values.into(),
             text_ids: text_ids.into(),
-            text_lists,
+            text_offsets,
+            text_nodes,
             stats: Arc::new(OnceLock::new()),
             anc_ends: Arc::new(OnceLock::new()),
             uid: NEXT_INDEX_UID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
@@ -237,32 +239,52 @@ impl TreeIndex {
         if text_ids.len() != n {
             return Err("index: text id array length mismatch".to_string());
         }
+        let labels_s = labels.as_slice();
         let mut seen = 0usize;
         for (l, list) in label_lists.iter().enumerate() {
-            let mut prev = None;
-            for &v in list.iter() {
-                if (v as usize) >= n || labels[v as usize] as usize != l {
-                    return Err(format!("index: label list {l} contains a wrong node"));
-                }
-                if prev.is_some_and(|p| p >= v) {
-                    return Err(format!("index: label list {l} is not strictly ascending"));
-                }
-                prev = Some(v);
+            let list = list.as_slice();
+            // Entry `i` must be a node labelled `l` above its predecessor;
+            // the clamped read only matters once the range test failed.
+            let bad = |i: usize| {
+                let v = list[i];
+                let above = (i == 0) | (list[i.saturating_sub(1)] < v);
+                (v as usize >= n) | (labels_s[(v as usize).min(n - 1)] as usize != l) | !above
+            };
+            if let Some(i) = first_bad(list.len(), bad) {
+                let v = list[i] as usize;
+                return Err(if v >= n || labels_s[v] as usize != l {
+                    format!("index: label list {l} contains a wrong node")
+                } else {
+                    format!("index: label list {l} is not strictly ascending")
+                });
             }
             seen += list.len();
         }
         if seen != n {
             return Err("index: label lists do not partition the nodes".to_string());
         }
-        let mut text_lists: Vec<Vec<NodeId>> = vec![Vec::new(); text_values.len()];
-        for (v, &id) in text_ids.iter().enumerate() {
-            if id != u32::MAX {
-                let list = text_lists
-                    .get_mut(id as usize)
-                    .ok_or_else(|| format!("index: node {v} has an out-of-range content id"))?;
-                list.push(v as NodeId);
-            }
+        // A content id is carried exactly by the text and attribute nodes
+        // (the partition above put every label inside the alphabet), and it
+        // names one of `text_values`.
+        let texty: Vec<bool> = alphabet
+            .ids()
+            .map(|l| matches!(alphabet.kind(l), LabelKind::Text | LabelKind::Attribute))
+            .collect();
+        let (ids, n_values) = (text_ids.as_slice(), text_values.len());
+        let bad = |v: usize| {
+            let has = ids[v] != u32::MAX;
+            (has != texty[labels_s[v] as usize]) | (has & (ids[v] as usize >= n_values))
+        };
+        if let Some(v) = first_bad(n, bad) {
+            return Err(if ids[v] == u32::MAX {
+                format!("index: text node {v} has no content id")
+            } else if ids[v] as usize >= n_values {
+                format!("index: node {v} has an out-of-range content id")
+            } else {
+                format!("index: element node {v} carries a content id")
+            });
         }
+        let (text_offsets, text_nodes) = text_csr(ids, text_values.len());
         Ok(Self {
             alphabet,
             labels,
@@ -270,7 +292,8 @@ impl TreeIndex {
             label_lists,
             text_values,
             text_ids,
-            text_lists,
+            text_offsets,
+            text_nodes,
             stats: Arc::new(OnceLock::new()),
             anc_ends: Arc::new(OnceLock::new()),
             uid: NEXT_INDEX_UID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
@@ -483,8 +506,11 @@ impl TreeIndex {
         self.alphabet.kind(self.label(v))
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Approximate heap footprint in bytes: every owned array, the text
+    /// lists (always owned) and the ancestor-probe arrays once built.
+    /// Borrowed views count 0 — their memory belongs to the mapping.
     pub fn heap_bytes(&self) -> usize {
+        let word_bytes = std::mem::size_of::<NodeId>();
         self.topo.heap_bytes()
             + self.labels.heap_bytes()
             + self
@@ -492,6 +518,15 @@ impl TreeIndex {
                 .iter()
                 .map(|l| l.heap_bytes())
                 .sum::<usize>()
+            + self.text_values.heap_bytes()
+            + self.text_ids.heap_bytes()
+            + (self.text_offsets.capacity() + self.text_nodes.capacity()) * word_bytes
+            + self.anc_ends.get().map_or(0, |lists| {
+                lists
+                    .iter()
+                    .map(|pm| pm.capacity() * word_bytes)
+                    .sum::<usize>()
+            })
     }
 
     /// Heap footprint of the topology alone (for the memory ablation).
@@ -533,7 +568,8 @@ impl TreeIndex {
 
     /// Nodes carrying exactly this content id, in document order.
     pub fn text_list(&self, id: u32) -> &[NodeId] {
-        &self.text_lists[id as usize]
+        let id = id as usize;
+        &self.text_nodes[self.text_offsets[id] as usize..self.text_offsets[id + 1] as usize]
     }
 
     /// Sorted nodes whose content *contains* `needle` (substring search
@@ -542,7 +578,7 @@ impl TreeIndex {
         let mut out = Vec::new();
         for (i, t) in self.text_values.iter().enumerate() {
             if t.contains(needle) {
-                out.extend_from_slice(&self.text_lists[i]);
+                out.extend_from_slice(self.text_list(i as u32));
             }
         }
         out.sort_unstable();
@@ -553,6 +589,37 @@ impl TreeIndex {
     pub fn distinct_text_count(&self) -> usize {
         self.text_values.len()
     }
+}
+
+/// The per-content node lists of `text_ids` as one CSR pair `(offsets,
+/// nodes)`: a counting pass sizes each id's run, a second pass drops every
+/// node into its run, so each run is in document order. Every id must be
+/// below `distinct` or `u32::MAX` (no content).
+fn text_csr(text_ids: &[u32], distinct: usize) -> (Vec<u32>, Vec<NodeId>) {
+    // Id `i` is counted at `i + 2`, so after the prefix sums `offsets[i +
+    // 1]` is where its run starts; the fill then advances that cursor to
+    // where the run ends, which is `i + 1`'s start — the finished offsets,
+    // with no second cursor array. Nodes without content clamp to id
+    // `distinct`: they all land in one spare entry that is cut off, so
+    // neither pass branches on the id.
+    let mut offsets = vec![0u32; distinct + 3];
+    for &id in text_ids {
+        offsets[(id as usize).min(distinct) + 2] += 1;
+    }
+    for i in 2..offsets.len() {
+        offsets[i] += offsets[i - 1];
+    }
+    let total = offsets[distinct + 1] as usize;
+    let mut nodes = vec![0; total + 1];
+    for (v, &id) in text_ids.iter().enumerate() {
+        let i = (id as usize).min(distinct);
+        let cursor = &mut offsets[i + 1];
+        nodes[*cursor as usize] = v as NodeId;
+        *cursor += u32::from(i < distinct);
+    }
+    offsets.truncate(distinct + 1);
+    nodes.truncate(total);
+    (offsets, nodes)
 }
 
 /// Iterator over the ancestors of one node carrying one label, outermost

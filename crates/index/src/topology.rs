@@ -7,7 +7,7 @@
 //! directories.
 
 use xwq_succinct::{Store, SuccinctTree, SuccinctTreeBuilder};
-use xwq_xml::{Document, NodeId, NONE};
+use xwq_xml::{first_bad, Document, NodeId, NONE};
 
 /// Which backend a [`crate::TreeIndex`] should use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -159,26 +159,39 @@ impl Topology {
         if subtree_end.len() != n || depth.len() != n {
             return Err("topology: derived array length mismatch".to_string());
         }
-        for v in 0..n as NodeId {
-            let ns = doc.next_sibling(v);
-            let p = doc.parent(v);
-            let expect_end = if ns != NONE {
-                ns
-            } else if p != NONE {
-                subtree_end[p as usize]
+        let (_, parent, _, next_sibling, _) = doc.raw_arrays();
+        let (ends, depths, last) = (subtree_end.as_slice(), depth.as_slice(), n - 1);
+        // Each node is checked against the values stored for its parent (a
+        // wrong stored value fails the parent's own check), so the checks
+        // are independent per node and fold without branches: both parent
+        // values are read up front and picked by selects. The clamped read
+        // only matters for the root, whose parent is NONE.
+        let expect = |v: usize| {
+            let (p, ns) = (parent[v], next_sibling[v]);
+            let pi = (p as usize).min(last);
+            let (parent_end, parent_depth) = (ends[pi], depths[pi]);
+            let inherited = if p != NONE { parent_end } else { n as u32 };
+            let end = if ns != NONE { ns } else { inherited };
+            // A depth past `n` fails its own node's check, so the wrapping
+            // `+ 1` never hides an error.
+            let depth = if p != NONE {
+                parent_depth.wrapping_add(1)
             } else {
-                n as u32
+                0
             };
-            if subtree_end[v as usize] != expect_end {
-                return Err(format!("topology: bad subtree_end at node {v}"));
-            }
-            // `Document::from_raw_parts` guarantees `p < v` (preorder parent
-            // invariant), so `depth[p]` was already checked against its own
-            // expected value — bounded by n, so the `+ 1` cannot overflow.
-            let expect_depth = if p == NONE { 0 } else { depth[p as usize] + 1 };
-            if depth[v as usize] != expect_depth {
-                return Err(format!("topology: bad depth at node {v}"));
-            }
+            (end, depth)
+        };
+        let bad = |v: usize| {
+            let (end, depth) = expect(v);
+            (ends[v] != end) | (depths[v] != depth)
+        };
+        if let Some(v) = first_bad(n, bad) {
+            let what = if ends[v] != expect(v).0 {
+                "subtree_end"
+            } else {
+                "depth"
+            };
+            return Err(format!("topology: bad {what} at node {v}"));
         }
         // The navigation arrays are shared with the document: cloning the
         // stores is free for borrowed (mmap) views and a plain copy for

@@ -310,8 +310,9 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a string table written by [`Writer::put_string_table`]. In
-    /// zero-copy mode the offsets and blob stay borrowed and every entry
-    /// is UTF-8-validated once here (via [`StrTable::shared`]).
+    /// zero-copy mode the offsets and blob stay borrowed. Either way the
+    /// entries are UTF-8-validated once here, in one pass over the blob
+    /// and one over the directory ([`StrTable::check_utf8`]).
     pub fn string_table(&mut self) -> Result<StrTable, FormatError> {
         let n = self.count(8)?;
         let off_bytes = self.take((n + 1) * 8)?;
@@ -337,15 +338,16 @@ impl<'a> Reader<'a> {
                 StrTable::shared(off_view, blob_view).map_err(FormatError::Corrupt)?
             }
             (_, offsets) => {
-                let mut out = Vec::with_capacity(n);
-                for w in offsets.windows(2) {
-                    let s = &blob[w[0] as usize..w[1] as usize];
-                    out.push(
-                        std::str::from_utf8(s)
-                            .map_err(|_| FormatError::Corrupt("string table is not UTF-8".into()))?
-                            .to_string(),
-                    );
-                }
+                StrTable::check_utf8(&offsets, blob).map_err(FormatError::Corrupt)?;
+                let out = offsets
+                    .windows(2)
+                    .map(|w| {
+                        let s = &blob[w[0] as usize..w[1] as usize];
+                        // SAFETY: `check_utf8` accepted the blob and put
+                        // every offset on a character boundary.
+                        unsafe { std::str::from_utf8_unchecked(s) }.to_string()
+                    })
+                    .collect();
                 StrTable::Owned(out)
             }
         };
@@ -452,6 +454,25 @@ mod tests {
         assert!(Reader::new(&bytes).string_table().is_err());
         let owner: Owner = bytes.clone();
         assert!(Reader::new_shared(&bytes, owner).string_table().is_err());
+    }
+
+    #[test]
+    fn offset_splitting_a_character_is_an_error_in_both_modes() {
+        // The blob "é" is valid UTF-8, but the directory cuts it 1|1.
+        let mut w = Writer::new();
+        w.put_u64(2); // two strings
+        for off in [0, 1, 2] {
+            w.put_u64(off);
+        }
+        w.put_padded_bytes("é".as_bytes());
+        let buf = crate::IndexBytes::from_vec(w.into_bytes());
+        let bytes = buf.as_slice();
+        assert!(Reader::new(bytes).string_table().is_err(), "owned");
+        let owner: Owner = buf.clone();
+        assert!(
+            Reader::new_shared(bytes, owner).string_table().is_err(),
+            "shared"
+        );
     }
 
     #[test]

@@ -223,7 +223,8 @@ pub enum StrTable {
 
 impl StrTable {
     /// Builds a zero-copy table, validating the directory shape (ascending
-    /// offsets spanning exactly the blob) and that every entry is UTF-8.
+    /// offsets spanning exactly the blob) and that every entry is UTF-8
+    /// (see [`Self::check_utf8`]).
     pub fn shared(offsets: SharedSlice<u64>, blob: SharedSlice<u8>) -> Result<Self, String> {
         if offsets.is_empty() {
             return Err("string table: missing offset directory".to_string());
@@ -234,13 +235,39 @@ impl StrTable {
         if offsets[offsets.len() - 1] != blob.len() as u64 {
             return Err("string table: offsets do not span the blob".to_string());
         }
-        for w in offsets.windows(2) {
-            let s = &blob[w[0] as usize..w[1] as usize];
-            if std::str::from_utf8(s).is_err() {
-                return Err("string table: entry is not UTF-8".to_string());
-            }
-        }
+        Self::check_utf8(&offsets, &blob)?;
         Ok(StrTable::Shared { offsets, blob })
+    }
+
+    /// Checks that every entry `blob[offsets[i]..offsets[i + 1]]` is UTF-8,
+    /// given a directory already known to ascend and end at `blob.len()`.
+    ///
+    /// One pass over the blob and one over the directory: the blob must be
+    /// UTF-8 as a whole and every offset inside it must fall on a character
+    /// boundary. That accepts exactly the tables whose entries each pass
+    /// `from_utf8` — a concatenation of valid entries is valid and each
+    /// entry starts a character; conversely, slicing a valid string at
+    /// character boundaries yields valid strings.
+    pub fn check_utf8(offsets: &[u64], blob: &[u8]) -> Result<(), String> {
+        if std::str::from_utf8(blob).is_err() {
+            return Err("string table: entry is not UTF-8".to_string());
+        }
+        let Some(top) = blob.len().checked_sub(1) else {
+            // An empty blob: every offset is 0, the only boundary.
+            return Ok(());
+        };
+        let len = blob.len() as u64;
+        let mut split = false;
+        for &o in offsets {
+            // Continuation bytes are 0b10xx_xxxx, i.e. below -0x40 as `i8`;
+            // an offset at `len` is the end boundary.
+            let b = blob[o.min(top as u64) as usize];
+            split |= (o < len) & ((b as i8) < -0x40);
+        }
+        if split {
+            return Err("string table: an offset splits a character".to_string());
+        }
+        Ok(())
     }
 
     /// Number of strings.
@@ -381,6 +408,13 @@ mod tests {
         let bad_blob = Arc::new(vec![0xFFu8, 0xFE]);
         let offs2 = Arc::new(vec![0u64, 2]);
         assert!(mk(&offs2, &bad_blob).is_err());
+        // A valid UTF-8 blob cut inside a character ("é" split 1|1).
+        let split_blob = Arc::new("é".as_bytes().to_vec());
+        let offs3 = Arc::new(vec![0u64, 1, 2]);
+        assert!(mk(&offs3, &split_blob).is_err());
+        // The same blob cut on its boundaries is accepted.
+        let whole = Arc::new(vec![0u64, 0, 2]);
+        assert_eq!(mk(&whole, &split_blob).unwrap().get(1), "é");
     }
 
     #[test]

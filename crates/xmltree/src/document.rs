@@ -226,57 +226,85 @@ impl Document {
         {
             return Err("document: array length mismatch".to_string());
         }
-        let in_range = |v: NodeId| v == NONE || (v as usize) < n;
-        for v in 0..n {
-            if labels[v] as usize >= alphabet.len() {
-                return Err(format!(
-                    "document: node {v} has label {} outside alphabet",
-                    labels[v]
-                ));
-            }
-            if !in_range(parent[v]) || !in_range(first_child[v]) || !in_range(next_sibling[v]) {
-                return Err(format!("document: node {v} has an out-of-range link"));
-            }
-            let is_texty = matches!(
-                alphabet.kind(labels[v]),
-                LabelKind::Text | LabelKind::Attribute
+        let (labels_s, parent_s, first_child_s, next_sibling_s, text_ref_s) = (
+            labels.as_slice(),
+            parent.as_slice(),
+            first_child.as_slice(),
+            next_sibling.as_slice(),
+            text_ref.as_slice(),
+        );
+        // Per-label class: 0 element, 1 text or attribute, 2 (the extra
+        // last slot, which every out-of-alphabet label clamps to) invalid.
+        let n_labels = alphabet.len();
+        let classes: Vec<u32> = (0..n_labels as LabelId)
+            .map(|l| {
+                u32::from(matches!(
+                    alphabet.kind(l),
+                    LabelKind::Text | LabelKind::Attribute
+                ))
+            })
+            .chain([2])
+            .collect();
+        // A text ref must be below this; `u32::MAX` (none) never is.
+        let n_texts = texts.len().min(u32::MAX as usize) as u32;
+        let last = n - 1;
+        // Two branch-free passes check every structural invariant of a
+        // node: the first reads only the link arrays (the parent of `v + 1`
+        // included), the second does the per-label and next-sibling
+        // lookups. One pass doing both measured slower on a 1.2M-node
+        // document. Clamped reads only matter where a range test already
+        // failed.
+        let links_bad = |v: usize| {
+            let (p, fc, ns) = (parent_s[v], first_child_s[v], next_sibling_s[v]);
+            // Preorder parent invariant: the root has none, every other
+            // node's parent precedes it (ruling out cycles outright).
+            let parent_bad = (p as usize >= v) & ((v != 0) | (p != NONE));
+            // A first child is its parent's successor and points back.
+            let fc_bad = (fc != NONE)
+                & ((fc as usize != v + 1) | (parent_s[(v + 1).min(last)] as usize != v));
+            // A next sibling lies in `v + 1..n`.
+            let ns_bad = (ns != NONE) & ((ns as usize).wrapping_sub(v + 1) >= n - v - 1);
+            parent_bad | fc_bad | ns_bad
+        };
+        let kind_bad = |v: usize| {
+            let class = classes[(labels_s[v] as usize).min(n_labels)];
+            let (tr, ns) = (text_ref_s[v], next_sibling_s[v]);
+            let has_text = u32::from(tr != u32::MAX);
+            // Out of the alphabet, a text ref on an element or none on a
+            // text/attribute node, or one past the table.
+            let text_bad =
+                (class >> 1) | (has_text ^ (class & 1)) | (has_text & u32::from(tr >= n_texts));
+            let sibling_bad = (ns != NONE) & (parent_s[(ns as usize).min(last)] != parent_s[v]);
+            (text_bad != 0) | sibling_bad
+        };
+        let first = first_bad(n, links_bad).or_else(|| first_bad(n, kind_bad));
+        if let Some(v) = first {
+            // Name the first failing check of the failing node.
+            let in_range = |u: NodeId| u == NONE || (u as usize) < n;
+            let (l, p, fc, ns, tr) = (
+                labels_s[v],
+                parent_s[v],
+                first_child_s[v],
+                next_sibling_s[v],
+                text_ref_s[v],
             );
-            if is_texty {
-                if text_ref[v] == u32::MAX || text_ref[v] as usize >= texts.len() {
-                    return Err(format!("document: node {v} has an invalid text ref"));
-                }
-            } else if text_ref[v] != u32::MAX {
-                return Err(format!("document: element node {v} carries a text ref"));
-            }
-        }
-        if parent[0] != NONE {
-            return Err("document: root must have no parent".to_string());
-        }
-        // Preorder invariant: every non-root node has a parent that precedes
-        // it. This is what makes upward walks (`parent*`) terminate — it
-        // rules out parent cycles and forward references outright.
-        for (v, &p) in parent.iter().enumerate().skip(1) {
-            if p == NONE || p as usize >= v {
-                return Err(format!(
-                    "document: node {v} violates the preorder parent invariant"
-                ));
-            }
-        }
-        // Children must point at their parent; this pass also ensures the
-        // preorder convention (a first child is its parent's successor).
-        for v in 0..n as NodeId {
-            let fc = first_child[v as usize];
-            if fc != NONE && (parent[fc as usize] != v || fc != v + 1) {
-                return Err(format!(
-                    "document: node {v} has an inconsistent first child"
-                ));
-            }
-            let ns = next_sibling[v as usize];
-            if ns != NONE && (parent[ns as usize] != parent[v as usize] || ns <= v) {
-                return Err(format!(
-                    "document: node {v} has an inconsistent next sibling"
-                ));
-            }
+            return Err(if l as usize >= alphabet.len() {
+                format!("document: node {v} has label {l} outside alphabet")
+            } else if !in_range(p) || !in_range(fc) || !in_range(ns) {
+                format!("document: node {v} has an out-of-range link")
+            } else if classes[l as usize] == 1 && tr >= n_texts {
+                format!("document: node {v} has an invalid text ref")
+            } else if classes[l as usize] == 0 && tr != u32::MAX {
+                format!("document: element node {v} carries a text ref")
+            } else if v == 0 && p != NONE {
+                "document: root must have no parent".to_string()
+            } else if v > 0 && p as usize >= v {
+                format!("document: node {v} violates the preorder parent invariant")
+            } else if fc != NONE && (fc as usize != v + 1 || parent_s[fc as usize] as usize != v) {
+                format!("document: node {v} has an inconsistent first child")
+            } else {
+                format!("document: node {v} has an inconsistent next sibling")
+            });
         }
         Ok(Self {
             alphabet,
@@ -299,6 +327,22 @@ impl Document {
             + self.text_ref.heap_bytes()
             + self.texts.heap_bytes()
     }
+}
+
+/// The first `i < n` for which `bad(i)` holds. Each 64-element chunk is
+/// folded without a branch per element (`acc | bad(i)`); only a chunk that
+/// fails is rescanned to find the element. `bad` must be a pure function
+/// of `i`.
+pub fn first_bad(n: usize, bad: impl Fn(usize) -> bool) -> Option<usize> {
+    const CHUNK: usize = 64;
+    (0..n).step_by(CHUNK).find_map(|lo| {
+        let chunk = lo..(lo + CHUNK).min(n);
+        if chunk.clone().fold(false, |acc, i| acc | bad(i)) {
+            chunk.into_iter().find(|&i| bad(i))
+        } else {
+            None
+        }
+    })
 }
 
 fn escape_text(s: &str, out: &mut String) {

@@ -23,6 +23,6 @@ mod label;
 mod parser;
 
 pub use builder::TreeBuilder;
-pub use document::{Document, NodeId, NONE};
+pub use document::{first_bad, Document, NodeId, NONE};
 pub use label::{Alphabet, LabelId, LabelKind, LabelSet};
 pub use parser::{parse, parse_bytes, parse_bytes_seeded, parse_seeded, ParseError};
