@@ -245,18 +245,15 @@ impl TreeIndex {
             let list = list.as_slice();
             // Entry `i` must be a node labelled `l` above its predecessor;
             // the clamped read only matters once the range test failed.
-            let bad = |i: usize| {
+            let check = |i: usize| {
                 let v = list[i];
-                let above = (i == 0) | (list[i.saturating_sub(1)] < v);
-                (v as usize >= n) | (labels_s[(v as usize).min(n - 1)] as usize != l) | !above
+                let wrong = (v as usize >= n) | (labels_s[(v as usize).min(n - 1)] as usize != l);
+                let unordered = (i != 0) & (list[i.saturating_sub(1)] >= v);
+                u32::from(wrong) | u32::from(unordered) << 1
             };
-            if let Some(i) = first_bad(list.len(), bad) {
-                let v = list[i] as usize;
-                return Err(if v >= n || labels_s[v] as usize != l {
-                    format!("index: label list {l} contains a wrong node")
-                } else {
-                    format!("index: label list {l} is not strictly ascending")
-                });
+            if let Some((_, what)) = first_bad(list.len(), check) {
+                let what = ["contains a wrong node", "is not strictly ascending"][what];
+                return Err(format!("index: label list {l} {what}"));
             }
             seen += list.len();
         }
@@ -271,18 +268,19 @@ impl TreeIndex {
             .map(|l| matches!(alphabet.kind(l), LabelKind::Text | LabelKind::Attribute))
             .collect();
         let (ids, n_values) = (text_ids.as_slice(), text_values.len());
-        let bad = |v: usize| {
-            let has = ids[v] != u32::MAX;
-            (has != texty[labels_s[v] as usize]) | (has & (ids[v] as usize >= n_values))
+        let check = |v: usize| {
+            let (has, texty) = (ids[v] != u32::MAX, texty[labels_s[v] as usize]);
+            u32::from(texty & !has)
+                | u32::from(!texty & has) << 1
+                | u32::from(has & (ids[v] as usize >= n_values)) << 2
         };
-        if let Some(v) = first_bad(n, bad) {
-            return Err(if ids[v] == u32::MAX {
-                format!("index: text node {v} has no content id")
-            } else if ids[v] as usize >= n_values {
-                format!("index: node {v} has an out-of-range content id")
-            } else {
-                format!("index: element node {v} carries a content id")
-            });
+        if let Some((v, what)) = first_bad(n, check) {
+            let what = [
+                "is a text or attribute node without a content id",
+                "is an element carrying a content id",
+                "has an out-of-range content id",
+            ][what];
+            return Err(format!("index: node {v} {what}"));
         }
         let (text_offsets, text_nodes) = text_csr(ids, text_values.len());
         Ok(Self {
@@ -795,6 +793,46 @@ mod tests {
         assert!(!ix.is_ancestor(1, 4));
         assert!(!ix.is_ancestor(3, 3));
         assert!(!ix.is_ancestor(5, 0));
+    }
+
+    #[test]
+    fn content_ids_sit_exactly_on_text_and_attribute_nodes() {
+        // a=0 @id=1 b=2 text=3 b=4
+        let ix = TreeIndex::build(&parse("<a id=\"x\"><b>t</b><b/></a>").unwrap());
+        let rebuild = |ids: Vec<u32>| {
+            let lists = ix
+                .alphabet()
+                .ids()
+                .map(|l| Store::from(ix.label_list(l).to_vec()))
+                .collect();
+            let labels: Vec<LabelId> = (0..ix.len() as NodeId).map(|v| ix.label(v)).collect();
+            let values: Vec<String> = ix.text_values().iter().map(String::from).collect();
+            TreeIndex::from_raw_parts(
+                ix.alphabet().clone(),
+                labels,
+                ix.topology().clone(),
+                lists,
+                values,
+                ids,
+            )
+        };
+        let ids = ix.text_ids().to_vec();
+        assert!(rebuild(ids.clone()).is_ok());
+        for (v, id, what) in [
+            (3, u32::MAX, "without a content id"),
+            (4, 0, "element carrying a content id"),
+            (1, 2, "out-of-range content id"),
+        ] {
+            let mut bad = ids.clone();
+            bad[v] = id;
+            let Err(err) = rebuild(bad) else {
+                panic!("node {v}: content id {id} accepted")
+            };
+            assert!(
+                err.contains(&format!("node {v} ")) && err.contains(what),
+                "{err}"
+            );
+        }
     }
 
     #[test]

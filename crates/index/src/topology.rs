@@ -166,7 +166,7 @@ impl Topology {
         // are independent per node and fold without branches: both parent
         // values are read up front and picked by selects. The clamped read
         // only matters for the root, whose parent is NONE.
-        let expect = |v: usize| {
+        let check = |v: usize| {
             let (p, ns) = (parent[v], next_sibling[v]);
             let pi = (p as usize).min(last);
             let (parent_end, parent_depth) = (ends[pi], depths[pi]);
@@ -179,18 +179,10 @@ impl Topology {
             } else {
                 0
             };
-            (end, depth)
+            u32::from(ends[v] != end) | u32::from(depths[v] != depth) << 1
         };
-        let bad = |v: usize| {
-            let (end, depth) = expect(v);
-            (ends[v] != end) | (depths[v] != depth)
-        };
-        if let Some(v) = first_bad(n, bad) {
-            let what = if ends[v] != expect(v).0 {
-                "subtree_end"
-            } else {
-                "depth"
-            };
+        if let Some((v, what)) = first_bad(n, check) {
+            let what = ["subtree_end", "depth"][what];
             return Err(format!("topology: bad {what} at node {v}"));
         }
         // The navigation arrays are shared with the document: cloning the

@@ -33,13 +33,10 @@
 //!
 //! All integers are little-endian; arrays are length-prefixed; blobs are
 //! padded so numeric arrays stay 8-byte aligned (see [`crate::wire`]).
-//! The reader validates magic, version and payload length, then the
-//! payload checksum and every layer's structure: each layer is rebuilt
-//! through its validated `from_raw_parts` constructor, and corrupt input
-//! yields [`FormatError`], never a panic. A checksum mismatch is reported
-//! ahead of any structural error. From 1 MiB of payload on, the checksum
-//! (one serial multiply chain, which validation needs nothing from) runs
-//! on a second thread beside the structural validation.
+//! The reader validates magic, version, payload length and checksum
+//! before touching the payload, then rebuilds each layer through its
+//! validated `from_raw_parts` constructor — corrupt input yields
+//! [`FormatError`], never a panic.
 //!
 //! **Open cost.** Validation is one pass per section over plain slices,
 //! and no check is dropped for it: a string table is one `from_utf8` over
@@ -48,22 +45,24 @@
 //! without branches, 64 nodes at a time, and only a failing chunk is
 //! rescanned to name the node. The per-content text lists are one CSR pair
 //! filled by a counting pass. Opening XMark factor 8 (seed 42: 1 202 437
-//! nodes, a 64.4 MB file, array topology) zero-copy, median of 21 opens
-//! interleaved with the previous reader (per-entry UTF-8 checks, one heap
-//! `Vec` per text list, three passes over the document) on 2 vCPUs:
+//! nodes, a 64.4 MB file, array topology) zero-copy from a fresh mapping
+//! of a cached file, median of 54 opens interleaved with the previous
+//! reader (per-entry UTF-8 checks, one heap `Vec` per text list, three
+//! passes over the document) on 2 vCPUs:
 //!
-//! | part of the open              | before (ms) | after (ms)            |
-//! |-------------------------------|-------------|-----------------------|
-//! | checksum                      | 15.5        | 15.5, on its own thread |
-//! | document text table           | 13.0        | 5.5                   |
-//! | `Document::from_raw_parts`    | 12.1        | 6.7                   |
-//! | `Topology::from_array_parts`  | 5.4         | 2.8                   |
-//! | `text_values` table           | 5.0         | 1.5                   |
-//! | `TreeIndex::from_raw_parts`   | 20.2        | 11.9                  |
-//! | whole open                    | 72.7        | 29.1                  |
+//! | part of the open              | before (ms) | after (ms) |
+//! |-------------------------------|-------------|------------|
+//! | checksum                      | 14.1        | 14.1       |
+//! | document text table           | 11.2        | 1.8        |
+//! | `Document::from_raw_parts`    | 10.9        | 6.1        |
+//! | `Topology::from_array_parts`  | 4.7         | 2.3        |
+//! | `text_values` table           | 4.5         | 1.1        |
+//! | `TreeIndex::from_raw_parts`   | 13.0        | 9.7        |
+//! | whole open                    | 60.7        | 35.2       |
 //!
-//! The owned reader ([`deserialize`]) still allocates one `String` per
-//! table entry; its whole open went from 152 to 108 ms.
+//! The checksum, one serial multiply chain over the payload, is now the
+//! largest part. The owned reader ([`deserialize`]) still allocates one
+//! `String` per table entry; its whole open went from 98.9 to 65.4 ms.
 
 use crate::wire::{checksum, Reader, Writer};
 use crate::IndexBytes;
@@ -293,48 +292,13 @@ fn deserialize_inner(
         )));
     }
     let payload = &bytes[HEADER_LEN..HEADER_LEN + payload_len];
-    if !verify_checksum {
-        return decode_payload(payload, owner);
-    }
-    let verdict = |got: u64| {
-        if got == expect {
-            Ok(())
-        } else {
-            Err(FormatError::ChecksumMismatch { expect, got })
+    if verify_checksum {
+        let got = checksum(payload);
+        if got != expect {
+            return Err(FormatError::ChecksumMismatch { expect, got });
         }
-    };
-    if payload.len() < OVERLAP_CHECKSUM_BYTES {
-        verdict(checksum(payload))?;
-        return decode_payload(payload, owner);
     }
-    // The checksum is one serial multiply chain over every payload byte and
-    // structural validation needs nothing from it, so a large payload runs
-    // the two side by side. The checksum's verdict still comes first: a
-    // mismatch is reported whatever the validators said (they return
-    // errors, never panic, on any bytes).
-    let (got, decoded) = std::thread::scope(|s| {
-        let sum = std::thread::Builder::new().spawn_scoped(s, || checksum(payload));
-        let decoded = decode_payload(payload, owner);
-        let got = match sum {
-            Ok(handle) => handle.join().expect("the checksum does not panic"),
-            Err(_) => checksum(payload),
-        };
-        (got, decoded)
-    });
-    verdict(got)?;
-    decoded
-}
 
-/// Payloads from this size on are checksummed on a second thread while
-/// the validators run; below it a thread costs more than the overlap
-/// saves.
-const OVERLAP_CHECKSUM_BYTES: usize = 1 << 20;
-
-/// Decodes and validates a payload whose header has been checked.
-fn decode_payload(
-    payload: &[u8],
-    owner: Option<Owner>,
-) -> Result<(Document, TreeIndex), FormatError> {
     let mut r = match owner {
         Some(owner) => Reader::new_shared(payload, owner),
         None => Reader::new(payload),

@@ -311,22 +311,12 @@ impl<'a> Reader<'a> {
 
     /// Reads a string table written by [`Writer::put_string_table`]. In
     /// zero-copy mode the offsets and blob stay borrowed. Either way the
-    /// entries are UTF-8-validated once here, in one pass over the blob
-    /// and one over the directory ([`StrTable::check_utf8`]).
+    /// table is validated once here ([`StrTable::check`]), in one pass
+    /// over the blob and one over the directory.
     pub fn string_table(&mut self) -> Result<StrTable, FormatError> {
         let n = self.count(8)?;
         let off_bytes = self.take((n + 1) * 8)?;
         let offsets: Store<u64> = self.to_store(off_bytes);
-        // This directory check is load-bearing for the owned branch below
-        // (which slices the blob by offset pairs) and for `total`;
-        // `StrTable::shared` intentionally re-validates on the shared
-        // branch because that constructor is public API in `xwq-succinct`
-        // and must stay safe standalone.
-        if offsets[0] != 0 || offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(FormatError::Corrupt(
-                "string table offsets not ascending".into(),
-            ));
-        }
         let total = usize::try_from(offsets[n])
             .map_err(|_| FormatError::Corrupt("string table too large".into()))?;
         let blob = self.take(total)?;
@@ -338,13 +328,14 @@ impl<'a> Reader<'a> {
                 StrTable::shared(off_view, blob_view).map_err(FormatError::Corrupt)?
             }
             (_, offsets) => {
-                StrTable::check_utf8(&offsets, blob).map_err(FormatError::Corrupt)?;
+                StrTable::check(&offsets, blob).map_err(FormatError::Corrupt)?;
                 let out = offsets
                     .windows(2)
                     .map(|w| {
                         let s = &blob[w[0] as usize..w[1] as usize];
-                        // SAFETY: `check_utf8` accepted the blob and put
-                        // every offset on a character boundary.
+                        // SAFETY: `check` accepted the table: the offsets
+                        // ascend within the blob, on character boundaries
+                        // of a UTF-8 blob.
                         unsafe { std::str::from_utf8_unchecked(s) }.to_string()
                     })
                     .collect();

@@ -566,42 +566,3 @@ fn checksum_consistent_edits_of_every_section_are_rejected() {
         }
     }
 }
-
-/// Payloads of a mebibyte and more are checksummed beside structural
-/// validation: the checksum's verdict must still win over whatever the
-/// validators find, and a checksum-consistent lie must still be caught.
-#[test]
-fn large_payloads_keep_the_checksum_verdict_first() {
-    let doc = xwq_xmark::generate(GenOptions {
-        factor: 0.3,
-        seed: 42,
-    });
-    for topo in [TopologyKind::Array, TopologyKind::Succinct] {
-        let index = TreeIndex::build_with(&doc, topo);
-        let bytes = serialize(&doc, &index).expect("serialize");
-        assert!(bytes.len() > 1 << 20, "sample must reach the overlap size");
-        let shared = |m: &[u8]| deserialize_shared(&IndexBytes::from_vec(m.to_vec()));
-        assert!(deserialize(&bytes).is_ok() && shared(&bytes).is_ok());
-        let len = bytes.len();
-        for i in [HEADER_LEN, HEADER_LEN + 9, len / 3, len / 2, len - 1] {
-            let mut m = bytes.clone();
-            m[i] ^= 0x10;
-            for (mode, got) in [("owned", deserialize(&m)), ("shared", shared(&m))] {
-                assert!(
-                    matches!(got, Err(FormatError::ChecksumMismatch { .. })),
-                    "{topo:?} {mode}: flip at {i} gave {:?}",
-                    got.map(|_| ())
-                );
-            }
-        }
-        // Payload offset 0 is the node count: claim one too many and
-        // re-fix the checksum.
-        let mut m = bytes.clone();
-        let n = u64::from_le_bytes(m[HEADER_LEN..HEADER_LEN + 8].try_into().unwrap());
-        m[HEADER_LEN..HEADER_LEN + 8].copy_from_slice(&(n + 1).to_le_bytes());
-        let fixed = spec_checksum(&m[HEADER_LEN..]);
-        m[24..32].copy_from_slice(&fixed.to_le_bytes());
-        assert!(matches!(deserialize(&m), Err(FormatError::Corrupt(_))));
-        assert!(matches!(shared(&m), Err(FormatError::Corrupt(_))));
-    }
-}

@@ -222,25 +222,16 @@ pub enum StrTable {
 }
 
 impl StrTable {
-    /// Builds a zero-copy table, validating the directory shape (ascending
-    /// offsets spanning exactly the blob) and that every entry is UTF-8
-    /// (see [`Self::check_utf8`]).
+    /// Builds a zero-copy table after [`Self::check`] accepted it.
     pub fn shared(offsets: SharedSlice<u64>, blob: SharedSlice<u8>) -> Result<Self, String> {
-        if offsets.is_empty() {
-            return Err("string table: missing offset directory".to_string());
-        }
-        if offsets[0] != 0 || offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err("string table: offsets not ascending from 0".to_string());
-        }
-        if offsets[offsets.len() - 1] != blob.len() as u64 {
-            return Err("string table: offsets do not span the blob".to_string());
-        }
-        Self::check_utf8(&offsets, &blob)?;
+        Self::check(&offsets, &blob)?;
         Ok(StrTable::Shared { offsets, blob })
     }
 
-    /// Checks that every entry `blob[offsets[i]..offsets[i + 1]]` is UTF-8,
-    /// given a directory already known to ascend and end at `blob.len()`.
+    /// Checks a string table's directory and blob: the offsets ascend from
+    /// 0 to exactly `blob.len()`, and every entry `blob[offsets[i]..
+    /// offsets[i + 1]]` is UTF-8. Only a table that passes may be sliced
+    /// with `from_utf8_unchecked`.
     ///
     /// One pass over the blob and one over the directory: the blob must be
     /// UTF-8 as a whole and every offset inside it must fall on a character
@@ -248,21 +239,26 @@ impl StrTable {
     /// `from_utf8` — a concatenation of valid entries is valid and each
     /// entry starts a character; conversely, slicing a valid string at
     /// character boundaries yields valid strings.
-    pub fn check_utf8(offsets: &[u64], blob: &[u8]) -> Result<(), String> {
+    pub fn check(offsets: &[u64], blob: &[u8]) -> Result<(), String> {
+        let (Some(&first), Some(&last)) = (offsets.first(), offsets.last()) else {
+            return Err("string table: missing offset directory".to_string());
+        };
+        if first != 0 || last != blob.len() as u64 {
+            return Err("string table: offsets do not span the blob".to_string());
+        }
         if std::str::from_utf8(blob).is_err() {
             return Err("string table: entry is not UTF-8".to_string());
         }
-        let Some(top) = blob.len().checked_sub(1) else {
-            // An empty blob: every offset is 0, the only boundary.
-            return Ok(());
-        };
-        let len = blob.len() as u64;
-        let mut split = false;
-        for &o in offsets {
+        let (mut descending, mut split) = (false, false);
+        for w in offsets.windows(2) {
+            descending |= w[0] > w[1];
             // Continuation bytes are 0b10xx_xxxx, i.e. below -0x40 as `i8`;
-            // an offset at `len` is the end boundary.
-            let b = blob[o.min(top as u64) as usize];
-            split |= (o < len) & ((b as i8) < -0x40);
+            // an offset at or past the end reads none (past the end, the
+            // order test above fails).
+            split |= blob.get(w[1] as usize).is_some_and(|&b| (b as i8) < -0x40);
+        }
+        if descending {
+            return Err("string table: offsets not ascending".to_string());
         }
         if split {
             return Err("string table: an offset splits a character".to_string());
@@ -293,7 +289,7 @@ impl StrTable {
             StrTable::Owned(v) => &v[i],
             StrTable::Shared { offsets, blob } => {
                 let s = &blob[offsets[i] as usize..offsets[i + 1] as usize];
-                // SAFETY: validated UTF-8 in `shared()`.
+                // SAFETY: `shared()` accepted the table through `check`.
                 unsafe { std::str::from_utf8_unchecked(s) }
             }
         }
@@ -415,6 +411,25 @@ mod tests {
         // The same blob cut on its boundaries is accepted.
         let whole = Arc::new(vec![0u64, 0, 2]);
         assert_eq!(mk(&whole, &split_blob).unwrap().get(1), "é");
+    }
+
+    #[test]
+    fn str_table_check_validates_the_directory_on_its_own() {
+        assert!(StrTable::check(&[0, 1, 2], b"ab").is_ok());
+        assert!(StrTable::check(&[0], b"").is_ok());
+        assert!(StrTable::check(&[], b"").is_err(), "no directory");
+        assert!(StrTable::check(&[0, 5], b"ab").is_err(), "past the end");
+        assert!(
+            StrTable::check(&[0, 3, 2], b"ab").is_err(),
+            "past the end, then back"
+        );
+        assert!(StrTable::check(&[0, 2, 1, 2], b"ab").is_err(), "descending");
+        assert!(StrTable::check(&[1, 2], b"ab").is_err(), "not from 0");
+        assert!(StrTable::check(&[0, 1], b"ab").is_err(), "short of the end");
+        assert!(
+            StrTable::check(&[0, 1, 2], "é".as_bytes()).is_err(),
+            "split"
+        );
     }
 
     #[test]

@@ -249,12 +249,22 @@ impl Document {
         let n_texts = texts.len().min(u32::MAX as usize) as u32;
         let last = n - 1;
         // Two branch-free passes check every structural invariant of a
-        // node: the first reads only the link arrays (the parent of `v + 1`
-        // included), the second does the per-label and next-sibling
-        // lookups. One pass doing both measured slower on a 1.2M-node
-        // document. Clamped reads only matter where a range test already
-        // failed.
-        let links_bad = |v: usize| {
+        // node, each returning one failure bit per check (bit `b` is named
+        // by `CHECKS[b]`): the first reads only the link arrays (the parent
+        // of `v + 1` included), the second does the per-label and
+        // next-sibling lookups. One pass doing both measured slower on a
+        // 1.2M-node document. Clamped reads only matter where a range test
+        // already failed.
+        const CHECKS: [&str; 7] = [
+            "violates the preorder parent invariant",
+            "has an inconsistent first child",
+            "has an out-of-range next sibling",
+            "has a label outside the alphabet",
+            "has an invalid text ref",
+            "is an element carrying a text ref",
+            "has a next sibling with another parent",
+        ];
+        let links = |v: usize| {
             let (p, fc, ns) = (parent_s[v], first_child_s[v], next_sibling_s[v]);
             // Preorder parent invariant: the root has none, every other
             // node's parent precedes it (ruling out cycles outright).
@@ -264,47 +274,21 @@ impl Document {
                 & ((fc as usize != v + 1) | (parent_s[(v + 1).min(last)] as usize != v));
             // A next sibling lies in `v + 1..n`.
             let ns_bad = (ns != NONE) & ((ns as usize).wrapping_sub(v + 1) >= n - v - 1);
-            parent_bad | fc_bad | ns_bad
+            u32::from(parent_bad) | u32::from(fc_bad) << 1 | u32::from(ns_bad) << 2
         };
-        let kind_bad = |v: usize| {
+        let kinds = |v: usize| {
             let class = classes[(labels_s[v] as usize).min(n_labels)];
             let (tr, ns) = (text_ref_s[v], next_sibling_s[v]);
-            let has_text = u32::from(tr != u32::MAX);
-            // Out of the alphabet, a text ref on an element or none on a
-            // text/attribute node, or one past the table.
-            let text_bad =
-                (class >> 1) | (has_text ^ (class & 1)) | (has_text & u32::from(tr >= n_texts));
+            let text_missing = (class == 1) & (tr >= n_texts);
+            let element_text = (class == 0) & (tr != u32::MAX);
             let sibling_bad = (ns != NONE) & (parent_s[(ns as usize).min(last)] != parent_s[v]);
-            (text_bad != 0) | sibling_bad
+            u32::from(class == 2) << 3
+                | u32::from(text_missing) << 4
+                | u32::from(element_text) << 5
+                | u32::from(sibling_bad) << 6
         };
-        let first = first_bad(n, links_bad).or_else(|| first_bad(n, kind_bad));
-        if let Some(v) = first {
-            // Name the first failing check of the failing node.
-            let in_range = |u: NodeId| u == NONE || (u as usize) < n;
-            let (l, p, fc, ns, tr) = (
-                labels_s[v],
-                parent_s[v],
-                first_child_s[v],
-                next_sibling_s[v],
-                text_ref_s[v],
-            );
-            return Err(if l as usize >= alphabet.len() {
-                format!("document: node {v} has label {l} outside alphabet")
-            } else if !in_range(p) || !in_range(fc) || !in_range(ns) {
-                format!("document: node {v} has an out-of-range link")
-            } else if classes[l as usize] == 1 && tr >= n_texts {
-                format!("document: node {v} has an invalid text ref")
-            } else if classes[l as usize] == 0 && tr != u32::MAX {
-                format!("document: element node {v} carries a text ref")
-            } else if v == 0 && p != NONE {
-                "document: root must have no parent".to_string()
-            } else if v > 0 && p as usize >= v {
-                format!("document: node {v} violates the preorder parent invariant")
-            } else if fc != NONE && (fc as usize != v + 1 || parent_s[fc as usize] as usize != v) {
-                format!("document: node {v} has an inconsistent first child")
-            } else {
-                format!("document: node {v} has an inconsistent next sibling")
-            });
+        if let Some((v, check)) = first_bad(n, links).or_else(|| first_bad(n, kinds)) {
+            return Err(format!("document: node {v} {}", CHECKS[check]));
         }
         Ok(Self {
             alphabet,
@@ -329,19 +313,22 @@ impl Document {
     }
 }
 
-/// The first `i < n` for which `bad(i)` holds. Each 64-element chunk is
-/// folded without a branch per element (`acc | bad(i)`); only a chunk that
-/// fails is rescanned to find the element. `bad` must be a pure function
-/// of `i`.
-pub fn first_bad(n: usize, bad: impl Fn(usize) -> bool) -> Option<usize> {
+/// The first `i < n` whose failure code `check(i)` is nonzero, with the
+/// lowest set bit of that code (the first check it failed). Each
+/// 64-element chunk is folded without a branch per element (`acc |
+/// (check(i) != 0)`); only a chunk that fails is rescanned to find the
+/// element. `check` must be a pure function of `i`.
+pub fn first_bad(n: usize, check: impl Fn(usize) -> u32) -> Option<(usize, usize)> {
     const CHUNK: usize = 64;
     (0..n).step_by(CHUNK).find_map(|lo| {
         let chunk = lo..(lo + CHUNK).min(n);
-        if chunk.clone().fold(false, |acc, i| acc | bad(i)) {
-            chunk.into_iter().find(|&i| bad(i))
-        } else {
-            None
+        if !chunk.clone().fold(false, |acc, i| acc | (check(i) != 0)) {
+            return None;
         }
+        chunk
+            .map(|i| (i, check(i)))
+            .find(|&(_, code)| code != 0)
+            .map(|(i, code)| (i, code.trailing_zeros() as usize))
     })
 }
 
@@ -402,6 +389,19 @@ mod tests {
         let (al, l, p, fc, ns, tr, tx) = parts(&doc);
         let re = Document::from_raw_parts(al, l, p, fc, ns, tr, tx).unwrap();
         assert_eq!(doc.to_xml(), re.to_xml());
+    }
+
+    #[test]
+    fn first_bad_names_the_first_node_and_its_lowest_failed_check() {
+        assert_eq!(first_bad(200, |_| 0), None);
+        let code = |i: usize| match i {
+            130 => 0b110,
+            131 | 199 => 0b1,
+            _ => 0,
+        };
+        assert_eq!(first_bad(200, code), Some((130, 1)));
+        assert_eq!(first_bad(130, code), None);
+        assert_eq!(first_bad(200, |i| u32::from(i == 199) << 4), Some((199, 4)));
     }
 
     #[test]
